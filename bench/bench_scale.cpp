@@ -1603,9 +1603,10 @@ HistoryBenchResult run_history_bench(int mirrors, int caches, int clients,
 
 // ---------------------------------------------------------------------
 // 11. multi_object — many-object sharding (placement + per-shard
-// subgroups + the multi-object engine). Three gates: aggregate scaling
-// with the shard count, hot-shard churn isolation, and digest
-// equivalence of a single-object deployment against the legacy path.
+// subgroups + the multi-object engine). Four gates: aggregate scaling
+// with the shard count, hot-shard churn isolation, digest equivalence
+// of a single-object deployment against the legacy path, and idle cost:
+// msgs/op at a large object count within 1.2x of a small one.
 // ---------------------------------------------------------------------
 
 struct MultiObjectRow {
@@ -1619,8 +1620,24 @@ struct MultiObjectRow {
   std::map<ShardId, metrics::ShardStats> shard_stats;  // per-shard rollup
 };
 
+/// Idle cost: the same paced workload over a small and a large object
+/// table. Ops are spread over simulated seconds, so every store's timers
+/// tick many times; per-tick work that grows with the table shows up as
+/// msgs/op growing with the object count.
+struct IdleCostRow {
+  int objects = 0;
+  int ops = 0;
+  double place_s = 0;  // wall seconds of place_objects
+  double sim_s = 0;    // simulated seconds the ops spanned
+  double msgs_per_op = 0;
+  bool converged = false;
+};
+
 struct MultiObjectResult {
   std::vector<MultiObjectRow> scaling;  // one row per shard count
+  // Small then large object count; the gate compares their msgs/op.
+  std::vector<IdleCostRow> idle_cost;
+  bool idle_cost_ok = false;
   // Hot-shard churn isolation (2 shards, membership on).
   std::uint64_t churn_crashes = 0;
   std::uint64_t cold_epoch_before = 0;
@@ -1706,6 +1723,78 @@ MultiObjectRow run_multi_object_scale(int shards, int objects, int ops,
   row.messages = bed.metrics().total_traffic().messages;
   row.msgs_per_op = ops > 0 ? static_cast<double>(row.messages) / ops : 0;
   row.shard_stats = bed.metrics().shard_stats();
+  row.converged = failures == 0;
+  for (const ObjectId id : ids) {
+    if (!bed.converged(id)) {
+      row.converged = false;
+      break;
+    }
+  }
+  return row;
+}
+
+/// Two shards (primary + secondary each), `objects` objects, `ops`
+/// Zipf-distributed ops (one in five a write) from 4 placed clients at
+/// 200 ops per simulated second. msgs/op counts every endpoint message
+/// from the first op to quiescence, background traffic included.
+IdleCostRow run_idle_cost(int objects, int ops, std::uint64_t seed) {
+  IdleCostRow row;
+  row.objects = objects;
+  row.ops = ops;
+  TestbedOptions opts;
+  opts.seed = seed;
+  opts.shards = 2;
+  opts.record_history = false;
+  Testbed bed(opts);
+  const auto policy = multi_object_policy();
+  for (ShardId s = 0; s < 2; ++s) {
+    bed.add_shard_store(s, naming::StoreClass::kPermanent, policy,
+                        /*primary=*/true);
+    bed.add_shard_store(s, naming::StoreClass::kObjectInitiated, policy);
+  }
+  std::vector<ObjectId> ids;
+  for (ObjectId id = 1; id <= static_cast<ObjectId>(objects); ++id) {
+    ids.push_back(id);
+  }
+  const auto start = Clock::now();
+  bed.place_objects(ids);
+  row.place_s = seconds_since(start);
+  bed.settle();
+  for (const ObjectId id : ids) {
+    bed.primary(id).seed(id, "page.html", "base-" + std::to_string(id));
+  }
+  bed.settle();
+  std::vector<replication::ClientBinding*> clients;
+  for (int c = 0; c < 4; ++c) {
+    clients.push_back(
+        &bed.add_placed_client(coherence::ClientModel::kReadYourWrites));
+  }
+  bed.settle();
+  bed.metrics().reset();
+
+  workload::ZipfGenerator zipf(ids.size(), 0.9);
+  util::Rng rng(seed * 31 + static_cast<std::uint64_t>(objects));
+  int failures = 0;
+  const sim::SimTime t0 = bed.sim().now();
+  for (int op = 0; op < ops; ++op) {
+    const ObjectId id = ids[zipf.sample(rng)];
+    auto& client = *clients[op % clients.size()];
+    if (op % 5 == 0) {
+      client.write(id, "page.html", "v" + std::to_string(op),
+                   [&](replication::WriteResult r) {
+                     if (!r.ok) ++failures;
+                   });
+    } else {
+      client.read(id, "page.html", [&](replication::ReadResult r) {
+        if (!r.ok) ++failures;
+      });
+    }
+    bed.run_for(sim::SimDuration::millis(5));
+  }
+  bed.settle();
+  row.sim_s = static_cast<double>((bed.sim().now() - t0).count_micros()) / 1e6;
+  row.msgs_per_op =
+      static_cast<double>(bed.metrics().total_traffic().messages) / ops;
   row.converged = failures == 0;
   for (const ObjectId id : ids) {
     if (!bed.converged(id)) {
@@ -1848,6 +1937,14 @@ MultiObjectResult run_multi_object(bool smoke) {
   run_multi_object_isolation(smoke ? 40 : 400, /*seed=*/31, &res);
   res.baseline_identical = run_multi_object_baseline(smoke ? 20 : 200,
                                                      /*seed=*/37);
+  // 8x the objects, same ops and simulated span. The smoke sizes still
+  // run for seconds of simulated time, so per-object ticks cannot hide.
+  const int idle_ops = smoke ? 400 : 2000;
+  for (const int n : {smoke ? 250 : 1250, smoke ? 2000 : 10000}) {
+    res.idle_cost.push_back(run_idle_cost(n, idle_ops, /*seed=*/43));
+  }
+  res.idle_cost_ok = res.idle_cost.back().msgs_per_op <=
+                     1.2 * res.idle_cost.front().msgs_per_op;
   return res;
 }
 
@@ -1894,6 +1991,9 @@ struct ObsRun {
   std::uint64_t overflow = 0;
 };
 
+// The observability section's one object (its writes' trace ids).
+constexpr ObjectId kObsObject = 1;
+
 /// One immediate-propagation deployment (primary + caches + clients)
 /// driving `ops` writes, identical virtual-time schedule either way;
 /// `traced` is the only degree of freedom the digest may see.
@@ -1913,12 +2013,11 @@ ObsRun run_obs_workload(int caches, int clients, int ops, bool traced,
     oo.sample_every = sample_every;
     bed.enable_observability(oo);
   }
-  constexpr ObjectId kObj = 1;
   constexpr int kPages = 8;
   constexpr std::size_t kPageBytes = 4096;
   core::ReplicationPolicy policy;
   policy.instant = core::TransferInstant::kImmediate;
-  auto& primary = bed.add_primary(kObj, policy);
+  auto& primary = bed.add_primary(kObsObject, policy);
   util::Rng content_rng(o.seed * 7919 + 13);
   std::vector<std::string> contents;
   for (int i = 0; i < kPages; ++i) {
@@ -1928,13 +2027,13 @@ ObsRun run_obs_workload(int caches, int clients, int ops, bool traced,
   std::vector<net::Address> cache_addrs;
   for (int i = 0; i < caches; ++i) {
     cache_addrs.push_back(
-        bed.add_store(kObj, naming::StoreClass::kClientInitiated, policy)
+        bed.add_store(kObsObject, naming::StoreClass::kClientInitiated, policy)
             .address());
   }
   bed.settle();
   std::vector<replication::ClientBinding*> cls;
   for (int i = 0; i < clients; ++i) {
-    cls.push_back(&bed.add_client(kObj, coherence::ClientModel::kNone,
+    cls.push_back(&bed.add_client(kObsObject, coherence::ClientModel::kNone,
                                   cache_addrs[i % cache_addrs.size()]));
   }
 
@@ -1978,8 +2077,8 @@ ObsRun run_obs_workload(int caches, int clients, int ops, bool traced,
 /// client.write root, every other parent resolving inside the trace,
 /// and the whole accept/order/apply/ack lifecycle present.
 bool lifecycle_connected(const std::vector<obs::Span>& spans,
-                         const coherence::WriteId& wid) {
-  const std::uint64_t trace = obs::trace_of(wid.client, wid.seq);
+                         ObjectId object, const coherence::WriteId& wid) {
+  const std::uint64_t trace = obs::trace_of(object, wid.client, wid.seq);
   std::map<std::uint64_t, int> ids;  // span_id -> count
   std::size_t roots = 0, accepts = 0, orders = 0, applies = 0, acks = 0;
   for (const obs::Span& s : spans) {
@@ -2113,14 +2212,14 @@ ObservabilityResult run_observability(bool smoke,
   const coherence::WriteId* sampled_wid = nullptr;
   for (auto it = traced_keep.wids.rbegin(); it != traced_keep.wids.rend();
        ++it) {
-    if (obs::trace_of(it->client, it->seq) % sample_every == 0) {
+    if (obs::trace_of(kObsObject, it->client, it->seq) % sample_every == 0) {
       sampled_wid = &*it;
       break;
     }
   }
   res.lifecycle_connected =
       sampled_wid != nullptr && traced_keep.overflow == 0 &&
-      lifecycle_connected(traced_keep.spans, *sampled_wid);
+      lifecycle_connected(traced_keep.spans, kObsObject, *sampled_wid);
   res.writes_accepted = prop.writes_accepted;
   res.writes_applied_remotely = prop.writes_applied_remotely;
   res.prop_first_p50_us = first_us.p50();
@@ -2360,7 +2459,7 @@ void emit_json(std::FILE* f, bool smoke, const MicroResult& micro,
       "    ],\n    \"isolation\": {\"churn_crashes\": %llu, "
       "\"cold_epoch_before\": %llu, \"cold_epoch_after\": %llu, "
       "\"hot_epoch_after\": %llu, \"cold_untouched\": %s, "
-      "\"converged\": %s},\n    \"baseline_identical\": %s\n  },\n",
+      "\"converged\": %s},\n    \"baseline_identical\": %s,\n",
       static_cast<unsigned long long>(mo.churn_crashes),
       static_cast<unsigned long long>(mo.cold_epoch_before),
       static_cast<unsigned long long>(mo.cold_epoch_after),
@@ -2368,6 +2467,19 @@ void emit_json(std::FILE* f, bool smoke, const MicroResult& micro,
       mo.cold_untouched ? "true" : "false",
       mo.isolation_converged ? "true" : "false",
       mo.baseline_identical ? "true" : "false");
+  std::fprintf(f, "    \"idle_cost\": [\n");
+  for (std::size_t i = 0; i < mo.idle_cost.size(); ++i) {
+    const IdleCostRow& r = mo.idle_cost[i];
+    std::fprintf(f,
+                 "      {\"objects\": %d, \"ops\": %d, \"place_s\": %.4f, "
+                 "\"sim_s\": %.2f, \"msgs_per_op\": %.2f, "
+                 "\"converged\": %s}%s\n",
+                 r.objects, r.ops, r.place_s, r.sim_s, r.msgs_per_op,
+                 r.converged ? "true" : "false",
+                 i + 1 < mo.idle_cost.size() ? "," : "");
+  }
+  std::fprintf(f, "    ],\n    \"idle_cost_ok\": %s\n  },\n",
+               mo.idle_cost_ok ? "true" : "false");
   std::fprintf(
       f,
       "  \"observability\": {\"stores\": %d, \"clients\": %d, \"ops\": %d, "
@@ -2589,6 +2701,12 @@ int run(bool smoke, const std::string& out_path) {
               static_cast<unsigned long long>(mo.hot_epoch_after),
               mo.cold_untouched, mo.isolation_converged,
               mo.baseline_identical);
+  for (const IdleCostRow& r : mo.idle_cost) {
+    std::printf("  idle cost %5d objects %4d ops over %.1f sim s: "
+                "place %.3fs, %.2f msgs/op, conv=%d\n",
+                r.objects, r.ops, r.sim_s, r.place_s, r.msgs_per_op,
+                r.converged);
+  }
 
   const std::size_t slash = out_path.find_last_of('/');
   const std::string artifact_dir =
@@ -2711,6 +2829,24 @@ int run(bool smoke, const std::string& out_path) {
                  "FAIL: multi-object untouched=%d conv=%d baseline=%d\n",
                  mo.cold_untouched, mo.isolation_converged,
                  mo.baseline_identical);
+    return 1;
+  }
+  // Idle objects cost nothing: 8x the objects may not raise msgs/op by
+  // more than 20%. The simulator is deterministic, so this is exact.
+  for (const IdleCostRow& r : mo.idle_cost) {
+    if (!r.converged) {
+      std::fprintf(stderr, "FAIL: idle-cost run (%d objects) did not "
+                           "converge\n", r.objects);
+      return 1;
+    }
+  }
+  if (!mo.idle_cost_ok) {
+    std::fprintf(stderr,
+                 "FAIL: idle cost %.2f msgs/op at %d objects > 1.2 x %.2f at "
+                 "%d objects\n",
+                 mo.idle_cost.back().msgs_per_op, mo.idle_cost.back().objects,
+                 mo.idle_cost.front().msgs_per_op,
+                 mo.idle_cost.front().objects);
     return 1;
   }
   // The tracer's contracts: disabled must be invisible on the wire,

@@ -41,6 +41,9 @@ const char* to_string(MsgType t) {
     case MsgType::kPlacementWatch: return "PlacementWatch";
     case MsgType::kPlacementInvalidate: return "PlacementInvalidate";
     case MsgType::kStabilityHorizon: return "StabilityHorizon";
+    case MsgType::kClockBeacon: return "ClockBeacon";
+    case MsgType::kBeaconCatchUpRequest: return "BeaconCatchUpRequest";
+    case MsgType::kBeaconCatchUpReply: return "BeaconCatchUpReply";
   }
   return "Unknown";
 }

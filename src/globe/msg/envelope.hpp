@@ -86,6 +86,13 @@ enum class MsgType : std::uint8_t {
   // broadcast to members to key write-log compaction, tombstone GC, and
   // streaming-checker event retirement.
   kStabilityHorizon = 41,
+  // Per-peer changed-clock beacons: one background message per
+  // subscriber peer per tick, listing only the objects whose applied
+  // clock advanced, numbered by a per-peer generation so a receiver can
+  // detect a lost beacon.
+  kClockBeacon = 42,
+  kBeaconCatchUpRequest = 43,  // "send what changed since generation g"
+  kBeaconCatchUpReply = 44,    // reply: a ClockBeacon body
 };
 
 [[nodiscard]] const char* to_string(MsgType t);
@@ -106,6 +113,7 @@ enum class MsgType : std::uint8_t {
     case MsgType::kViewFetchReply:
     case MsgType::kPlacementFetchReply:
     case MsgType::kPlacementResolveReply:
+    case MsgType::kBeaconCatchUpReply:
       return true;
     default:
       return false;

@@ -188,15 +188,21 @@ void Tracer::reset() {
   overflow_.store(0, std::memory_order_relaxed);
 }
 
-std::uint64_t trace_of(std::uint32_t client, std::uint64_t seq) {
-  // splitmix64 over (client, seq); never 0 so "no context" stays encodable.
-  std::uint64_t x = (static_cast<std::uint64_t>(client) << 40) ^ seq ^
-                    0x9e3779b97f4a7c15ull;
-  x ^= x >> 30;
-  x *= 0xbf58476d1ce4e5b9ull;
-  x ^= x >> 27;
-  x *= 0x94d049bb133111ebull;
-  x ^= x >> 31;
+std::uint64_t trace_of(std::uint64_t object, std::uint32_t client,
+                       std::uint64_t seq) {
+  // splitmix64 chained over object, then (client, seq); never 0 so "no
+  // context" stays encodable.
+  const auto mix = [](std::uint64_t x) {
+    x ^= x >> 30;
+    x *= 0xbf58476d1ce4e5b9ull;
+    x ^= x >> 27;
+    x *= 0x94d049bb133111ebull;
+    x ^= x >> 31;
+    return x;
+  };
+  const std::uint64_t x =
+      mix(mix(object + 0x9e3779b97f4a7c15ull) ^
+          (static_cast<std::uint64_t>(client) << 40) ^ seq);
   return x == 0 ? 1 : x;
 }
 

@@ -180,10 +180,12 @@ class Tracer {
   std::atomic<std::uint64_t> overflow_{0};
 };
 
-/// Hash of WriteId{client, seq} -> trace id (never 0). Deterministic
-/// across processes, so spans join the trace without a carried context.
-[[nodiscard]] std::uint64_t trace_of(std::uint32_t client,
-                                     std::uint64_t seq);
+/// Hash of (object, WriteId{client, seq}) -> trace id (never 0).
+/// Deterministic across processes, so spans join the trace without a
+/// carried context. The object is part of the key: a client numbers its
+/// writes per object session, so two objects see the same (client, seq).
+[[nodiscard]] std::uint64_t trace_of(std::uint64_t object,
+                                     std::uint32_t client, std::uint64_t seq);
 
 /// --- implicit per-thread context -------------------------------------
 

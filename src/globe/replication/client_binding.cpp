@@ -415,7 +415,8 @@ void ClientBinding::transmit_write(Session& s, ClientRequest req,
   {
     obs::Tracer& tracer = obs::Tracer::instance();
     if (tracer.enabled()) {
-      const std::uint64_t trace = obs::trace_of(options_.client, wid.seq);
+      const std::uint64_t trace =
+          obs::trace_of(s.object, options_.client, wid.seq);
       if (tracer.sampled(trace)) {
         trace_ctx = obs::TraceContext{trace, tracer.new_span_id()};
         trace_start_us = tracer.now_us();

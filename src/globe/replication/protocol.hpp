@@ -14,6 +14,7 @@
 // of the delivery callback, copied only if a handler must retain them.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -466,6 +467,79 @@ struct NotifyMsg {
     NotifyMsg m;
     m.known_clock = VectorClock::decode(r);
     m.known_gseq = r.varint();
+    r.expect_end();
+    return m;
+  }
+};
+
+/// kClockBeacon body (also the kBeaconCatchUpReply body): one store's
+/// periodic advertisement to ONE subscriber peer. It lists the applied
+/// frontier of only those hosted objects the peer subscribes to that
+/// advanced since the previous beacon to that peer, so an idle object
+/// costs nothing on the wire. `generation` numbers the beacons of the
+/// (store, peer) stream consecutively from 1; a receiver that sees a
+/// jump knows a beacon was lost or reordered and asks for a catch-up.
+/// A catch-up reply carries the sender's current generation and every
+/// object listed since the generation the receiver named.
+struct ClockBeacon {
+  struct Entry {
+    ObjectId object = 0;
+    VectorClock clock;
+    std::uint64_t gseq = 0;
+  };
+  std::uint64_t generation = 0;
+  std::vector<Entry> entries;
+
+  /// Header + entries written field by field, so a sender can stream its
+  /// objects' clocks straight into the wire buffer without copying them.
+  static void encode_header(Writer& w, std::uint64_t generation,
+                            std::size_t entries) {
+    w.varint(generation);
+    w.varint(entries);
+  }
+  static void encode_entry(Writer& w, ObjectId object,
+                           const VectorClock& clock, std::uint64_t gseq) {
+    w.varint(object);
+    clock.encode(w);
+    w.varint(gseq);
+  }
+
+  void encode(Writer& w) const {
+    encode_header(w, generation, entries.size());
+    for (const Entry& e : entries) encode_entry(w, e.object, e.clock, e.gseq);
+  }
+
+  static ClockBeacon decode(BytesView wire) {
+    Reader r(wire);
+    ClockBeacon m;
+    m.generation = r.varint();
+    const std::uint64_t n = r.varint();
+    // Every entry takes at least three bytes: a corrupt count must not
+    // drive the reservation.
+    m.entries.reserve(std::min<std::uint64_t>(n, r.remaining() / 3));
+    for (std::uint64_t i = 0; i < n; ++i) {
+      Entry e;
+      e.object = r.varint();
+      e.clock = VectorClock::decode(r);
+      e.gseq = r.varint();
+      m.entries.push_back(std::move(e));
+    }
+    r.expect_end();
+    return m;
+  }
+};
+
+/// kBeaconCatchUpRequest body: the last generation of the sender's
+/// beacon stream the requester holds without a hole before it.
+struct BeaconCatchUp {
+  std::uint64_t have_generation = 0;
+
+  void encode(Writer& w) const { w.varint(have_generation); }
+
+  static BeaconCatchUp decode(BytesView wire) {
+    Reader r(wire);
+    BeaconCatchUp m;
+    m.have_generation = r.varint();
     r.expect_end();
     return m;
   }

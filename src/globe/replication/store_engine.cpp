@@ -1,6 +1,7 @@
 #include "globe/replication/store_engine.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "globe/check/monitor.hpp"
 #include "globe/obs/trace.hpp"
@@ -40,7 +41,7 @@ void trace_write_span(obs::SpanKind kind, StoreId store, ObjectId object,
                       const web::WriteId& wid, std::uint64_t detail) {
   obs::Tracer& t = obs::Tracer::instance();
   if (!t.enabled()) return;
-  const std::uint64_t trace = obs::trace_of(wid.client, wid.seq);
+  const std::uint64_t trace = obs::trace_of(object, wid.client, wid.seq);
   if (!t.sampled(trace)) return;
   const obs::TraceContext ctx = obs::current_context();
   obs::Span s;
@@ -114,10 +115,9 @@ StoreEngine::ObjectState& StoreEngine::create_object(const ObjectConfig& cfg) {
 }
 
 void StoreEngine::add_object(const ObjectConfig& cfg) {
-  create_object(cfg);
-  // The new object may need a timer the current set lacks (or a shorter
-  // period than the current ticks).
-  configure_timers();
+  const ObjectState& o = create_object(cfg);
+  // A crashed or departed store runs no timers; recover() rebuilds them.
+  if (alive_ && !departed_) arm_timers(timer_periods(o));
 }
 
 std::vector<ObjectId> StoreEngine::object_ids() const {
@@ -189,79 +189,72 @@ std::uint64_t StoreEngine::writes_applied() const {
   return n;
 }
 
+bool StoreEngine::polls(const ObjectState& o) {
+  return o.cfg.policy.initiative == TransferInitiative::kPull &&
+         !o.cfg.is_primary && o.cfg.cache_mode == CacheMode::kGlobe;
+}
+
+bool StoreEngine::beacons(const ObjectState& o) {
+  return o.cfg.policy.initiative == TransferInitiative::kPush &&
+         o.cfg.policy.object_outdate_reaction == OutdateReaction::kDemand &&
+         o.cfg.cache_mode == CacheMode::kGlobe;
+}
+
+StoreEngine::TimerPeriods StoreEngine::timer_periods(const ObjectState& o) {
+  TimerPeriods t;
+  const auto& p = o.cfg.policy;
+  // Lazy push flush timer: any store that may propagate data.
+  if (p.initiative == TransferInitiative::kPush &&
+      p.instant == TransferInstant::kLazy &&
+      o.cfg.cache_mode == CacheMode::kGlobe) {
+    t.lazy = p.lazy_period;
+  }
+  // Pull poll timer: non-primary Globe stores poll their upstream.
+  if (polls(o)) t.pull = p.lazy_period;
+  // Clock beacon: with push + demand reaction, a subscriber that lost
+  // the *last* pushes of a burst would never learn it is behind (gap
+  // detection needs a later message). A periodic beacon carrying the
+  // sender's changed clocks closes that window — this is what makes
+  // reliability a genuine side effect of the coherence model over lossy
+  // transports (Section 4.2). The beacon is per subscriber peer, not per
+  // object: it lists only objects whose clock advanced since the last
+  // tick, and its generation number exposes a lost beacon, which the
+  // receiver repairs with a catch-up request. An idle object therefore
+  // costs nothing per tick, yet a lost tail is still discovered within
+  // a tick or two (docs/perf.md, "Per-tick cost").
+  if (beacons(o)) {
+    t.beacon = p.instant == TransferInstant::kLazy
+                   ? p.lazy_period
+                   : sim::SimDuration::millis(500);
+  }
+  return t;
+}
+
+void StoreEngine::arm_timers(const TimerPeriods& p) {
+  // One timer set serves the whole object table: each timer runs at the
+  // minimum period any hosted object asks for, and its tick visits only
+  // the objects with work pending. A running timer restarts only when an
+  // object needs a shorter period.
+  const auto arm = [this](std::optional<sim::PeriodicTimer>& timer,
+                          const std::optional<sim::SimDuration>& period,
+                          void (StoreEngine::*tick)()) {
+    if (!period.has_value() ||
+        (timer.has_value() && timer->period() <= *period)) {
+      return;
+    }
+    timer.emplace(sim_, *period, [this, tick] { (this->*tick)(); });
+    timer->start();
+  };
+  arm(lazy_timer_, p.lazy, &StoreEngine::flush_lazy_all);
+  arm(pull_timer_, p.pull, &StoreEngine::poll_upstreams);
+  arm(beacon_timer_, p.beacon, &StoreEngine::send_beacons);
+}
+
 void StoreEngine::configure_timers() {
   lazy_timer_.reset();
   pull_timer_.reset();
-  heartbeat_timer_.reset();
-
-  // One timer set serves the whole object table: each timer runs at the
-  // minimum period any hosted object asks for, and its tick visits every
-  // object that qualifies (the per-object guards make extra visits
-  // no-ops). With one object this degenerates to the classic behaviour.
-  std::optional<sim::SimDuration> lazy_period;
-  std::optional<sim::SimDuration> pull_period;
-  std::optional<sim::SimDuration> beat_period;
-  const auto take_min = [](std::optional<sim::SimDuration>& slot,
-                           sim::SimDuration d) {
-    if (!slot.has_value() || d < *slot) slot = d;
-  };
-  for (const auto& [id, op] : objects_) {
-    const ObjectState& o = *op;
-    const auto& p = o.cfg.policy;
-    const bool is_globe_cache = o.cfg.cache_mode == CacheMode::kGlobe;
-    // Lazy push flush timer: any store that may propagate data.
-    if (p.initiative == TransferInitiative::kPush &&
-        p.instant == TransferInstant::kLazy && is_globe_cache) {
-      take_min(lazy_period, p.lazy_period);
-    }
-    // Pull poll timer: non-primary Globe stores poll their upstream.
-    if (p.initiative == TransferInitiative::kPull && !o.cfg.is_primary &&
-        is_globe_cache) {
-      take_min(pull_period, p.lazy_period);
-    }
-    // Heartbeat clock advertisement: with push + demand reaction, a
-    // subscriber that lost the *last* pushes of a burst would never
-    // learn it is behind (gap detection needs a later message). A
-    // periodic Notify carrying the sender's clock closes that window —
-    // this is what makes reliability a genuine side effect of the
-    // coherence model over lossy transports (Section 4.2).
-    if (p.initiative == TransferInitiative::kPush &&
-        p.object_outdate_reaction == OutdateReaction::kDemand &&
-        is_globe_cache) {
-      take_min(beat_period, p.instant == TransferInstant::kLazy
-                                ? p.lazy_period
-                                : sim::SimDuration::millis(500));
-    }
-  }
-  if (lazy_period.has_value()) {
-    lazy_timer_.emplace(sim_, *lazy_period, [this] { flush_lazy_all(); });
-    lazy_timer_->start();
-  }
-  if (pull_period.has_value()) {
-    pull_timer_.emplace(sim_, *pull_period, [this] {
-      for (auto& [id, op] : objects_) {
-        ObjectState& o = *op;
-        if (o.cfg.policy.initiative == TransferInitiative::kPull &&
-            !o.cfg.is_primary && o.cfg.cache_mode == CacheMode::kGlobe) {
-          pull_from_upstream(o);
-        }
-      }
-    });
-    pull_timer_->start();
-  }
-  if (beat_period.has_value()) {
-    heartbeat_timer_.emplace(sim_, *beat_period, [this] {
-      for (auto& [id, op] : objects_) {
-        ObjectState& o = *op;
-        if (o.cfg.policy.initiative == TransferInitiative::kPush &&
-            o.cfg.policy.object_outdate_reaction == OutdateReaction::kDemand &&
-            o.cfg.cache_mode == CacheMode::kGlobe) {
-          advertise_clock(o);
-        }
-      }
-    });
-    heartbeat_timer_->start();
-  }
+  beacon_timer_.reset();
+  for (const auto& [id, op] : objects_) arm_timers(timer_periods(*op));
 }
 
 bool StoreEngine::update_policy(const core::ReplicationPolicy& policy) {
@@ -276,8 +269,14 @@ bool StoreEngine::update_policy(ObjectState& o,
 
   // Drain anything queued under the old parameters, then switch.
   flush_lazy(o);
+  const bool beaconed = beacons(o);
   o.cfg.policy = policy;
   if (&o == def_) config_.policy = policy;  // keep the legacy view in step
+  if (beacons(o) != beaconed) {
+    for (const Subscriber& s : o.subscribers) {
+      set_beacon_subscription(s.address, o.cfg.object, !beaconed);
+    }
+  }
   configure_timers();
 
   // Propagate the strategy change through the object (downstream).
@@ -322,13 +321,7 @@ void StoreEngine::finalize_propagation() {
   // coherence state; the periodic timers keep running (they are
   // background events and never block quiescence on their own).
   if (!alive_ || departed_) return;
-  for (auto& [id, op] : objects_) {
-    ObjectState& o = *op;
-    if (o.cfg.policy.initiative == TransferInitiative::kPull &&
-        !o.cfg.is_primary && o.cfg.cache_mode == CacheMode::kGlobe) {
-      pull_from_upstream(o);
-    }
-  }
+  if (pull_timer_.has_value()) poll_upstreams();
   flush_lazy_all();
 }
 
@@ -388,6 +381,13 @@ void StoreEngine::on_message(const Address& from,
       return;
     case msg::MsgType::kStabilityHorizon:
       handle_stability_horizon(env);
+      return;
+    // Beacons are per peer: one message covers every hosted object.
+    case msg::MsgType::kClockBeacon:
+      handle_clock_beacon(from, env);
+      return;
+    case msg::MsgType::kBeaconCatchUpRequest:
+      handle_beacon_catch_up(from, env);
       return;
     default:
       break;
@@ -675,6 +675,7 @@ void StoreEngine::apply_ready(ObjectState& o,
     }
   }
   o.demand_retry_budget = 100;  // progress: re-arm the retry budget
+  mark_advanced(o);
   maybe_compact(o);
   note_gaps(o);
   unpark_ready(o);
@@ -1007,7 +1008,7 @@ void StoreEngine::propagate(ObjectState& o,
       auto& queue = o.lazy_queues[tkey];
       queue.insert(queue.end(), std::make_move_iterator(out.begin()),
                    std::make_move_iterator(out.end()));
-      o.lazy_dirty = true;
+      mark_lazy(o);
     } else {
       bool grouped = false;
       for (auto& g : groups) {
@@ -1125,8 +1126,22 @@ void StoreEngine::send_coherence(
   }
 }
 
+void StoreEngine::mark_lazy(ObjectState& o) {
+  if (o.lazy_dirty) return;
+  o.lazy_dirty = true;
+  lazy_dirty_.push_back(&o);
+}
+
 void StoreEngine::flush_lazy_all() {
-  for (auto& [id, op] : objects_) flush_lazy(*op);
+  // Only objects with pending lazy work, in object order. An entry whose
+  // flag is clear was flushed directly (update_policy) and is a no-op.
+  std::vector<ObjectState*> due;
+  due.swap(lazy_dirty_);
+  std::sort(due.begin(), due.end(),
+            [](const ObjectState* a, const ObjectState* b) {
+              return a->cfg.object < b->cfg.object;
+            });
+  for (ObjectState* o : due) flush_lazy(*o);
 }
 
 void StoreEngine::flush_lazy(ObjectState& o) {
@@ -1147,7 +1162,7 @@ void StoreEngine::flush_lazy(ObjectState& o) {
       auto& back = o.lazy_queues[key];
       back.insert(back.end(), std::make_move_iterator(batches.begin()),
                   std::make_move_iterator(batches.end()));
-      o.lazy_dirty = true;
+      mark_lazy(o);
       continue;
     }
     if (batches.empty() && !data_free) continue;
@@ -1224,6 +1239,8 @@ void StoreEngine::drop_flow_peer(std::uint64_t key) {
                   [&](const Subscriber& s) { return s.address == peer; });
     op->lazy_queues.erase(key);
   }
+  const auto bp = beacon_peers_.find(key);
+  if (bp != beacon_peers_.end()) bp->second.forget();
   paused_peers_.erase(key);
   paused_rounds_.erase(key);
   if (config_.flow != nullptr) config_.flow->reset_peer(address(), peer);
@@ -1287,6 +1304,12 @@ void StoreEngine::pull_from_upstream(ObjectState& o) {
                        if (!ok) return;
                        apply_fetch_reply(o, FetchReply::decode_view(env.body));
                      });
+}
+
+void StoreEngine::poll_upstreams() {
+  for (auto& [id, op] : objects_) {
+    if (polls(*op)) pull_from_upstream(*op);
+  }
 }
 
 void StoreEngine::demand_fetch(ObjectState& o,
@@ -1428,6 +1451,7 @@ void StoreEngine::subscribe_to_upstream(ObjectState& o) {
         }
         o.ready = true;
         apply_ready(o, std::move(ready));
+        mark_advanced(o);
         note_gaps(o);
         unpark_ready(o);
       },
@@ -1569,6 +1593,9 @@ void StoreEngine::apply_view(const membership::View& view) {
                                      : std::next(it);
     }
   }
+  for (auto& [key, peer] : beacon_peers_) {
+    if (left(peer.address)) peer.forget();
+  }
   for (auto it = paused_peers_.begin(); it != paused_peers_.end();) {
     it = left(key_addr(*it)) ? paused_peers_.erase(it) : std::next(it);
   }
@@ -1659,7 +1686,7 @@ void StoreEngine::crash() {
   // write log, clocks survive (a warm disk).
   lazy_timer_.reset();
   pull_timer_.reset();
-  heartbeat_timer_.reset();
+  beacon_timer_.reset();
   membership_timer_.reset();
   for (auto& [id, op] : objects_) {
     ObjectState& o = *op;
@@ -1670,6 +1697,10 @@ void StoreEngine::crash() {
     o.fetch_in_flight = false;
     o.unparking = false;
   }
+  lazy_dirty_.clear();
+  // Clock advances not yet beaconed stay owed: the beacon stream (dirty
+  // list, per-peer generations) survives like the subscriber lists.
+  for (auto& [key, src] : beacon_sources_) src.catch_up_in_flight = false;
   view_fetch_in_flight_ = false;
 }
 
@@ -1707,7 +1738,7 @@ void StoreEngine::leave() {
   departed_ = true;
   lazy_timer_.reset();
   pull_timer_.reset();
-  heartbeat_timer_.reset();
+  beacon_timer_.reset();
   membership_timer_.reset();
   for (auto& [id, op] : objects_) {
     op->parked.clear();
@@ -1858,12 +1889,13 @@ void StoreEngine::finish_state_adoption(ObjectState& o,
   }
   for (auto& rec : ready) rec.transient_origin = addr_key(o.cfg.upstream);
   apply_ready(o, std::move(ready));
+  mark_advanced(o);
   // Forward the (new) state downstream in full-transfer mode.
   if (o.cfg.policy.coherence_transfer == CoherenceTransfer::kFull &&
       o.cfg.policy.initiative == TransferInitiative::kPush &&
       !o.subscribers.empty()) {
     if (o.cfg.policy.instant == TransferInstant::kLazy) {
-      o.lazy_dirty = true;
+      mark_lazy(o);
       for (const Subscriber& s : o.subscribers) {
         o.lazy_queues[addr_key(s.address)];  // mark target; body is snapshot
       }
@@ -1952,24 +1984,152 @@ void StoreEngine::handle_notify(ObjectState& o, const Address& from,
   }
 }
 
-void StoreEngine::advertise_clock(ObjectState& o) {
-  if (o.subscribers.empty()) return;
-  NotifyMsg m;
-  m.known_clock = o.applied_clock;
-  m.known_gseq = o.applied_gseq;
-  if (config_.shared_wire) {
-    std::vector<Address> targets;
-    targets.reserve(o.subscribers.size());
-    for (const Subscriber& s : o.subscribers) targets.push_back(s.address);
-    comm_.multicast_with(targets, msg::MsgType::kNotify, o.cfg.object,
-                         [&](util::Writer& w) { m.encode(w); },
-                         /*background=*/true);
-    return;
+// ---------------------------------------------------------------------
+// Clock beacons
+// ---------------------------------------------------------------------
+
+void StoreEngine::mark_advanced(ObjectState& o) {
+  // Only subscribed objects are advertised: a later subscriber's ack
+  // carries the state it starts from.
+  if (o.beacon_dirty || o.subscribers.empty() || !beacons(o)) return;
+  o.beacon_dirty = true;
+  beacon_dirty_.push_back(&o);
+}
+
+void StoreEngine::set_beacon_subscription(const Address& peer,
+                                          ObjectId object, bool on) {
+  BeaconPeer& p = beacon_peers_[addr_key(peer)];
+  p.address = peer;
+  const auto it = p.objects.find(object);
+  if (it != p.objects.end()) {
+    p.listed.erase({it->second, object});
+    p.objects.erase(it);
   }
-  for (const Subscriber& s : o.subscribers) {
-    comm_.send_with_background(s.address, msg::MsgType::kNotify,
-                               o.cfg.object,
-                               [&](util::Writer& w) { m.encode(w); });
+  if (on) p.objects.emplace(object, 0);
+}
+
+void StoreEngine::send_beacons() {
+  std::vector<ObjectState*> changed;
+  changed.swap(beacon_dirty_);
+  std::sort(changed.begin(), changed.end(),
+            [](const ObjectState* a, const ObjectState* b) {
+              return a->cfg.object < b->cfg.object;
+            });
+  for (ObjectState* o : changed) {
+    o->beacon_dirty = false;
+    if (!beacons(*o)) continue;  // policy changed since it was marked
+    for (const Subscriber& s : o->subscribers) {
+      const auto it = beacon_peers_.find(addr_key(s.address));
+      if (it != beacon_peers_.end()) it->second.due.push_back(o);
+    }
+  }
+  // One beacon per subscriber peer, changed objects or not: an empty
+  // beacon still advances the generation, which is how the peer notices
+  // that the beacon before it was lost.
+  for (auto& [key, peer] : beacon_peers_) {
+    if (peer.objects.empty()) continue;
+    const std::uint64_t generation = ++peer.generation;
+    std::size_t n = 0;
+    for (const ObjectState* o : peer.due) {
+      const auto it = peer.objects.find(o->cfg.object);
+      if (it == peer.objects.end()) continue;
+      if (it->second != 0) peer.listed.erase({it->second, it->first});
+      it->second = generation;
+      peer.listed.emplace(generation, it->first);
+      peer.due[n++] = o;
+    }
+    peer.due.resize(n);
+    comm_.send_with_background(
+        peer.address, msg::MsgType::kClockBeacon, 0, [&](util::Writer& w) {
+          ClockBeacon::encode_header(w, generation, peer.due.size());
+          for (const ObjectState* o : peer.due) {
+            ClockBeacon::encode_entry(w, o->cfg.object, o->applied_clock,
+                                      o->applied_gseq);
+          }
+        });
+    peer.due.clear();
+  }
+}
+
+void StoreEngine::handle_clock_beacon(const Address& from,
+                                      const msg::EnvelopeView& env) {
+  const ClockBeacon m = ClockBeacon::decode(env.body);
+  adopt_advertised(m.entries);
+  BeaconSource& src = beacon_sources_[addr_key(from)];
+  if (m.generation == src.contiguous + 1) {
+    src.contiguous = m.generation;
+  } else if (m.generation > src.contiguous + 1) {
+    // A beacon before this one was lost (or is still in flight): the
+    // objects it listed would go unheard until they change again.
+    request_beacon_catch_up(from);
+  }
+  // An older generation is a reordered beacon, merged above.
+}
+
+void StoreEngine::request_beacon_catch_up(const Address& upstream) {
+  const std::uint64_t key = addr_key(upstream);
+  BeaconSource& src = beacon_sources_[key];
+  if (src.catch_up_in_flight) return;
+  src.catch_up_in_flight = true;
+  const BeaconCatchUp req{src.contiguous};
+  comm_.request_with(
+      upstream, msg::MsgType::kBeaconCatchUpRequest, 0,
+      [&](util::Writer& w) { req.encode(w); },
+      [this, key](bool ok, const Address&, const msg::EnvelopeView& env) {
+        BeaconSource& s = beacon_sources_[key];
+        s.catch_up_in_flight = false;
+        // A failed round leaves `contiguous` behind, so the next beacon
+        // from this upstream detects the gap again and retries.
+        if (!ok) return;
+        const ClockBeacon rep = ClockBeacon::decode(env.body);
+        adopt_advertised(rep.entries);
+        s.contiguous = std::max(s.contiguous, rep.generation);
+      },
+      sim::SimDuration::millis(250), /*retries=*/4);
+}
+
+void StoreEngine::handle_beacon_catch_up(const Address& from,
+                                         const msg::EnvelopeView& env) {
+  const BeaconCatchUp req = BeaconCatchUp::decode(env.body);
+  // Every object listed after the requester's generation, at its
+  // current frontier (which dominates whatever the lost beacons said).
+  std::uint64_t generation = 0;
+  std::vector<const ObjectState*> listed;
+  const auto it = beacon_peers_.find(addr_key(from));
+  if (it != beacon_peers_.end()) {
+    const BeaconPeer& peer = it->second;
+    generation = peer.generation;
+    for (auto l = peer.listed.upper_bound(
+             {req.have_generation, std::numeric_limits<ObjectId>::max()});
+         l != peer.listed.end(); ++l) {
+      listed.push_back(find_object(l->second));
+    }
+  }
+  comm_.reply_with(from, msg::MsgType::kBeaconCatchUpReply, 0,
+                   env.request_id, [&](util::Writer& w) {
+                     ClockBeacon::encode_header(w, generation, listed.size());
+                     for (const ObjectState* o : listed) {
+                       ClockBeacon::encode_entry(w, o->cfg.object,
+                                                 o->applied_clock,
+                                                 o->applied_gseq);
+                     }
+                   });
+}
+
+void StoreEngine::adopt_advertised(
+    const std::vector<ClockBeacon::Entry>& entries) {
+  // What handle_notify does for one object, minus the forwarding: every
+  // store beacons its own applied frontier to its own subscribers.
+  for (const ClockBeacon::Entry& e : entries) {
+    ObjectState* o = find_object(e.object);
+    if (o == nullptr) continue;  // not hosted here (anymore)
+    o->known_clock.merge(e.clock);
+    o->known_gseq = std::max(o->known_gseq, e.gseq);
+    note_gaps(*o);
+    if (o->outdated &&
+        o->cfg.policy.object_outdate_reaction == OutdateReaction::kDemand) {
+      demand_fetch(*o);
+    }
   }
 }
 
@@ -2097,6 +2257,7 @@ void StoreEngine::handle_subscribe(ObjectState& o, const Address& from,
       paused_rounds_.erase(key);
     }
   }
+  if (beacons(o)) set_beacon_subscription(m.subscriber, o.cfg.object, true);
   const StateTransfer st =
       make_state_transfer(o, m.want_delta ? &m.delta_req : nullptr);
   comm_.reply_with(from, msg::MsgType::kSubscribeAck, o.cfg.object,

@@ -21,7 +21,12 @@
 // subscriber set, upstream) keyed by ObjectId, and every wire message
 // carries the object key in its envelope, so one communication endpoint,
 // one timer set and one membership heartbeat stream serve the whole
-// table. The single-object constructor seeds the table with one object
+// table. Periodic work is proportional to activity, not to the table:
+// timer ticks visit only a dirty set of objects with pending lazy
+// records or an applied clock advanced since it was last beaconed, and
+// the clock advertisement is one beacon per subscriber peer listing only
+// the objects that changed (docs/perf.md, "Per-tick cost"). The
+// single-object constructor seeds the table with one object
 // from StoreConfig (the legacy deployment shape); sharded deployments
 // call add_object() for every object placement assigns to this store's
 // shard, and join membership under one cluster-wide scope
@@ -203,7 +208,9 @@ class StoreEngine {
   /// Adds another distributed object to this store's table. The object
   /// gets its own replication state (document, log, orderer, clocks,
   /// subscribers) but shares the engine's endpoint, timers, flow state
-  /// and membership stream. Asserts on a duplicate id.
+  /// and membership stream. O(log n): a timer restarts only when the
+  /// object needs one that is missing or one with a shorter period.
+  /// Asserts on a duplicate id.
   void add_object(const ObjectConfig& cfg);
   [[nodiscard]] bool has_object(ObjectId id) const {
     return objects_.count(id) != 0;
@@ -331,7 +338,12 @@ class StoreEngine {
     // Per-target lazy segments: shared, immutable, pre-encoded batches.
     // N subscribers hold N pointers to one encode, not N record copies.
     std::map<std::uint64_t, std::vector<web::RecordBatchPtr>> lazy_queues;
-    bool lazy_dirty = false;  // for notify/full lazy transfers
+    // Pending lazy work (queued batches, or a notify/full transfer owed);
+    // set exactly while the object is on the engine's lazy_dirty_ list.
+    bool lazy_dirty = false;
+    // Applied clock/gseq advanced since the last beacon; set exactly
+    // while the object is on the engine's beacon_dirty_ list.
+    bool beacon_dirty = false;
 
     std::vector<Parked> parked;
     // Writes buffered by the orderer whose client still awaits an ack.
@@ -472,8 +484,51 @@ class StoreEngine {
   /// resets its channel so a future re-subscribe starts clean.
   void drop_flow_peer(std::uint64_t key);
   void pull_from_upstream(ObjectState& o);
-  void advertise_clock(ObjectState& o);
+  /// Pull timer tick: every pull-mode object polls its upstream (the
+  /// paper's pull strategy polls idle objects too).
+  void poll_upstreams();
+  /// Whether `o` polls its upstream (non-primary Globe store, pull).
+  [[nodiscard]] static bool polls(const ObjectState& o);
+  /// Puts `o` on the lazy-flush dirty list (idempotent).
+  void mark_lazy(ObjectState& o);
+  /// Puts `o` on the beacon dirty list when some peer should hear of
+  /// its new applied clock (idempotent).
+  void mark_advanced(ObjectState& o);
+
+  // ---- timers ----
+  /// The tick periods one object asks for; a store runs each timer at
+  /// the minimum over its objects.
+  struct TimerPeriods {
+    std::optional<sim::SimDuration> lazy;
+    std::optional<sim::SimDuration> pull;
+    std::optional<sim::SimDuration> beacon;
+  };
+  [[nodiscard]] static TimerPeriods timer_periods(const ObjectState& o);
+  /// Starts each timer `p` asks for that is missing or runs slower.
+  void arm_timers(const TimerPeriods& p);
+  /// Rebuilds the timer set from the whole table (policy change,
+  /// recovery).
   void configure_timers();
+
+  // ---- clock beacons ----
+  /// Whether `o`'s subscribers learn its applied clock from beacons:
+  /// push with demand reaction, where a subscriber that lost the last
+  /// pushes of a burst has no later push to reveal the gap.
+  [[nodiscard]] static bool beacons(const ObjectState& o);
+  /// Beacon timer tick: one background kClockBeacon per subscriber peer,
+  /// listing the dirty objects it subscribes to.
+  void send_beacons();
+  /// Starts or stops listing `object` in the beacons to `peer`. Starting
+  /// resets the object's baseline: the subscribe ack carried its state.
+  void set_beacon_subscription(const Address& peer, ObjectId object,
+                               bool on);
+  void handle_clock_beacon(const Address& from, const msg::EnvelopeView& env);
+  void handle_beacon_catch_up(const Address& from,
+                              const msg::EnvelopeView& env);
+  void request_beacon_catch_up(const Address& upstream);
+  /// Merges advertised frontiers into the known clocks; outdated
+  /// demand-mode objects fetch.
+  void adopt_advertised(const std::vector<ClockBeacon::Entry>& entries);
   void demand_fetch(ObjectState& o, std::vector<std::string> pages = {});
   void apply_fetch_reply(ObjectState& o, FetchReply::View reply);
   void apply_snapshot(ObjectState& o, util::BytesView document,
@@ -583,8 +638,42 @@ class StoreEngine {
   std::map<std::uint64_t, std::size_t> paused_rounds_;
   std::optional<sim::PeriodicTimer> lazy_timer_;
   std::optional<sim::PeriodicTimer> pull_timer_;
-  std::optional<sim::PeriodicTimer> heartbeat_timer_;
+  std::optional<sim::PeriodicTimer> beacon_timer_;
   std::optional<sim::PeriodicTimer> membership_timer_;
+
+  // The dirty set: the only objects the lazy and beacon ticks visit.
+  // Entries are stable ObjectState pointers; the per-object flags keep
+  // each list free of duplicates while the object is pending.
+  std::vector<ObjectState*> lazy_dirty_;
+  std::vector<ObjectState*> beacon_dirty_;
+
+  // Outgoing beacon stream to one subscriber peer, shared by every
+  // hosted object it subscribes to.
+  struct BeaconPeer {
+    Address address;
+    std::uint64_t generation = 0;  // of the last beacon sent
+    // Subscribed objects -> generation of the last beacon listing them
+    // (0 = not listed since the subscription, whose ack carried state).
+    std::map<ObjectId, std::uint64_t> objects;
+    // (generation, object) of every listed object: a catch-up walks only
+    // the tail past the requester's generation.
+    std::set<std::pair<std::uint64_t, ObjectId>> listed;
+    std::vector<const ObjectState*> due;  // filled and drained by one tick
+
+    /// The peer left or was dropped: stop beaconing it. The generation
+    /// survives, so a returning peer sees its stream continue.
+    void forget() {
+      objects.clear();
+      listed.clear();
+    }
+  };
+  std::map<std::uint64_t, BeaconPeer> beacon_peers_;
+  // Incoming beacon stream from one upstream.
+  struct BeaconSource {
+    std::uint64_t contiguous = 0;  // every generation up to here is held
+    bool catch_up_in_flight = false;
+  };
+  std::map<std::uint64_t, BeaconSource> beacon_sources_;
 
   bool alive_ = true;      // false while crash-stopped
   bool departed_ = false;  // true after a graceful leave

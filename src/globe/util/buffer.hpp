@@ -45,7 +45,9 @@ using SharedBuffer = std::shared_ptr<const Buffer>;
 
 inline Buffer to_buffer(std::string_view s) {
   Buffer b(s.size());
-  std::memcpy(b.data(), s.data(), s.size());
+  // memcpy's pointers must be valid even for a zero size; an empty
+  // view's data() may be null.
+  if (!s.empty()) std::memcpy(b.data(), s.data(), s.size());
   return b;
 }
 

@@ -269,6 +269,43 @@ TEST(Protocol, InvalidateAndNotifyRoundTrip) {
   EXPECT_EQ(nback.known_gseq, 4u);
 }
 
+TEST(Protocol, ClockBeaconAndCatchUpRoundTrip) {
+  replication::ClockBeacon b;
+  b.generation = 7;
+  replication::ClockBeacon::Entry e;
+  e.object = 42;
+  e.clock.set(3, 5);
+  e.gseq = 11;
+  b.entries.push_back(e);
+  util::Writer w;
+  b.encode(w);
+  const util::Buffer wire = w.take();
+  const auto back = replication::ClockBeacon::decode(util::BytesView(wire));
+  EXPECT_EQ(back.generation, 7u);
+  ASSERT_EQ(back.entries.size(), 1u);
+  EXPECT_EQ(back.entries[0].object, 42u);
+  EXPECT_EQ(back.entries[0].clock, e.clock);
+  EXPECT_EQ(back.entries[0].gseq, 11u);
+
+  util::Writer cw;
+  replication::BeaconCatchUp{9}.encode(cw);
+  const util::Buffer cwire = cw.take();
+  EXPECT_EQ(
+      replication::BeaconCatchUp::decode(util::BytesView(cwire))
+          .have_generation,
+      9u);
+}
+
+TEST(Protocol, ClockBeaconRejectsHostileEntryCount) {
+  // A corrupt count fails on the missing bytes; it never sizes a
+  // reservation.
+  util::Writer w;
+  replication::ClockBeacon::encode_header(w, 1, std::uint64_t{1} << 60);
+  const util::Buffer wire = w.take();
+  EXPECT_THROW(replication::ClockBeacon::decode(util::BytesView(wire)),
+               util::CodecError);
+}
+
 TEST(Protocol, AntiEntropyRoundTrip) {
   replication::AntiEntropyRequest req;
   req.have_clock.set(1, 1);

@@ -72,7 +72,7 @@ TEST(ObsLifecycle, WriteLifecycleFormsOneConnectedTrace) {
   for (const obs::Span& s : spans) {
     if (s.kind == obs::SpanKind::kClientWrite) trace = s.trace_id;
   }
-  EXPECT_EQ(trace, obs::trace_of(res->wid.client, res->wid.seq));
+  EXPECT_EQ(trace, obs::trace_of(kObj, res->wid.client, res->wid.seq));
 
   // Every span belongs to that one trace.
   std::set<std::uint64_t> ids;
@@ -102,6 +102,65 @@ TEST(ObsLifecycle, WriteLifecycleFormsOneConnectedTrace) {
     }
   }
   EXPECT_EQ(roots, 1u);
+}
+
+TEST(ObsLifecycle, SameClientSeqOnTwoObjectsYieldsTwoConnectedTraces) {
+  // A client numbers its writes per object session, so its first write
+  // to each of two objects carries the same (client, seq). The trace id
+  // must still tell them apart, or the propagation table pairs one
+  // write's accept with the other's applies.
+  TestbedOptions opts;
+  opts.shards = 1;
+  Testbed bed(opts);
+  bed.enable_observability();
+  bed.add_shard_store(0, naming::StoreClass::kPermanent, immediate(),
+                      /*primary=*/true);
+  bed.add_shard_store(0, naming::StoreClass::kObjectInitiated, immediate());
+  bed.place_objects({1, 2});
+  bed.settle();
+  auto& client = bed.add_placed_client(ClientModel::kNone);
+  std::map<ObjectId, WriteResult> res;
+  client.write(1, "p", "a", [&](WriteResult r) { res[1] = r; });
+  client.write(2, "p", "b", [&](WriteResult r) { res[2] = r; });
+  bed.settle();
+  ASSERT_EQ(res.size(), 2u);
+  ASSERT_TRUE(res[1].ok && res[2].ok);
+  ASSERT_EQ(res[1].wid, res[2].wid);  // the same (client, seq)
+
+  const std::vector<obs::Span> spans = obs::Tracer::instance().snapshot();
+  std::map<std::uint64_t, ObjectId> roots;  // trace id -> written object
+  for (const obs::Span& s : spans) {
+    if (s.kind == obs::SpanKind::kClientWrite) roots[s.trace_id] = s.object;
+  }
+  ASSERT_EQ(roots.size(), 2u);
+  for (const ObjectId id : {ObjectId{1}, ObjectId{2}}) {
+    const std::uint64_t trace =
+        obs::trace_of(id, res[id].wid.client, res[id].wid.seq);
+    ASSERT_TRUE(roots.count(trace) > 0) << "object " << id;
+    EXPECT_EQ(roots[trace], id);
+  }
+  for (const auto& [trace, object] : roots) {
+    std::set<std::uint64_t> ids;
+    for (const obs::Span& s : spans) {
+      if (s.trace_id == trace) ids.insert(s.span_id);
+    }
+    std::size_t trace_roots = 0, applies = 0;
+    for (const obs::Span& s : spans) {
+      if (s.trace_id != trace) continue;
+      if (s.parent_id == 0) {
+        ++trace_roots;
+      } else {
+        EXPECT_TRUE(ids.count(s.parent_id) > 0) << obs::to_string(s.kind);
+      }
+      if (s.kind == obs::SpanKind::kApply) {
+        ++applies;
+        EXPECT_EQ(s.object, object);  // no span of the other write
+      }
+    }
+    EXPECT_EQ(trace_roots, 1u);
+    EXPECT_EQ(applies, 2u);  // primary + secondary
+  }
+  EXPECT_EQ(bed.harvest_propagation().writes_accepted, 2u);
 }
 
 TEST(ObsLifecycle, PropagationLatenciesReachMetricsSink) {
@@ -181,7 +240,7 @@ TEST(ObsLifecycle, SamplingIsDeterministicOneInN) {
 
   std::size_t expected = 0;
   for (const coherence::WriteId& w : wids) {
-    if (obs::trace_of(w.client, w.seq) % kEvery == 0) ++expected;
+    if (obs::trace_of(kObj, w.client, w.seq) % kEvery == 0) ++expected;
   }
   const std::vector<obs::Span> spans = obs::Tracer::instance().snapshot();
   EXPECT_EQ(count_kind(spans, obs::SpanKind::kClientWrite), expected);

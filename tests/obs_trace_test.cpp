@@ -80,12 +80,13 @@ TEST_F(TracerTest, EmitIsNoopWhenDisabled) {
 }
 
 TEST_F(TracerTest, TraceOfIsDeterministicAndNeverZero) {
-  EXPECT_EQ(trace_of(3, 17), trace_of(3, 17));
-  EXPECT_NE(trace_of(3, 17), trace_of(3, 18));
-  EXPECT_NE(trace_of(3, 17), trace_of(4, 17));
+  EXPECT_EQ(trace_of(1, 3, 17), trace_of(1, 3, 17));
+  EXPECT_NE(trace_of(1, 3, 17), trace_of(1, 3, 18));
+  EXPECT_NE(trace_of(1, 3, 17), trace_of(1, 4, 17));
+  EXPECT_NE(trace_of(1, 3, 17), trace_of(2, 3, 17));
   for (std::uint32_t c = 0; c < 8; ++c) {
     for (std::uint64_t s = 0; s < 64; ++s) {
-      EXPECT_NE(trace_of(c, s), 0u);
+      EXPECT_NE(trace_of(1, c, s), 0u);
     }
   }
 }
@@ -166,7 +167,7 @@ TEST_F(TracerTest, PropagationDerivedFromAcceptAndRemoteApplies) {
   std::int64_t now = 1000;
   t.set_clock([&now] { return now; });
 
-  const std::uint64_t trace = trace_of(1, 1);
+  const std::uint64_t trace = trace_of(1, 1, 1);
   Span accept = make_span(SpanKind::kStoreAccept, trace, now);
   accept.actor = 1;
   t.emit(accept);
@@ -324,7 +325,7 @@ TEST(FlightRecorderTest, SnapshotSinceRestrictsWindow) {
 
 TEST(DumpFormat, RoundTripsSpansAndGauges) {
   std::vector<Span> spans;
-  Span a = make_span(SpanKind::kClientWrite, trace_of(1, 1), 100);
+  Span a = make_span(SpanKind::kClientWrite, trace_of(1, 1, 1), 100);
   a.span_id = 11;
   a.dur_us = 50;
   a.object = 42;
@@ -332,7 +333,7 @@ TEST(DumpFormat, RoundTripsSpansAndGauges) {
   a.actor = 1;
   a.set_label("timeout");
   spans.push_back(a);
-  Span b = make_span(SpanKind::kWireSend, trace_of(1, 1), 110);
+  Span b = make_span(SpanKind::kWireSend, trace_of(1, 1, 1), 110);
   b.span_id = 12;
   b.parent_id = 11;
   b.actor = 2;
