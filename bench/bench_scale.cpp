@@ -1,61 +1,61 @@
 // Scale benchmark: the perf trajectory of the replication hot path.
 //
-// Three measurements, emitted as machine-readable BENCH_scale.json:
+// Thirteen sections, emitted in this order as machine-readable
+// BENCH_scale.json. Sections that once ran a pre-optimisation baseline
+// beside the optimised path now check the one remaining path against
+// golden digests that baseline produced (BaselinePins below).
 //
 //  1. micro_writelog — the delta computation itself: a long write
-//     history served to near-tip requesters, naive O(history) scan vs
-//     the indexed WriteLog (before/after).
-//  2. e2e_pull / e2e_anti_entropy — full simulated deployments with a
-//     long history, run twice: once with the naive scan forced
-//     (TestbedOptions::naive_log_scan, the seed behaviour) and once
-//     with the indexes. Wall-clock before/after for the whole run.
-//  3. scale_trajectory — wide deployments (hundreds of stores/clients,
-//     thousands of ops) across every coherence model, indexed path
-//     only: the numbers the ROADMAP tracks across PRs.
-//
-//  4. fanout — propagation fan-out (1 primary, 64–256 subscribers,
-//     immediate vs lazy vs pull): per-subscriber record copies + per-
-//     subscriber encodes (the seed behaviour, TestbedOptions::
-//     shared_fanout=false) vs shared pre-encoded RecordBatches. Both
-//     runs must deliver byte-identical records to every store.
-//  5. fanout_loopback — the same fan-out over the threaded
-//     LoopbackRouter runtime (ROADMAP: the non-simulated path had no
-//     benchmark).
-//  6. micro_snapshot — WebDocument snapshot encoding, uncached oracle
+//     history served to near-tip requesters, the naive O(history)
+//     reference scan vs the indexed WriteLog.
+//  2. micro_snapshot — WebDocument snapshot encoding, uncached oracle
 //     vs the shared snapshot cache (cutover-storm cost model).
-//
-//  7. loopback_multicast — shared wire datagrams on the threaded
-//     runtime: per-destination header+body encodes (the PR-2 behaviour)
-//     vs ONE encode whose buffer every destination holds by reference.
-//
+//  3. e2e_pull_long_history / e2e_anti_entropy — full simulated
+//     deployments with a long, uncompacted history served from the
+//     indexed log: wall clock and simulator events for the whole run.
+//  4. fanout — propagation fan-out (1 primary, 16 or 128 subscribers,
+//     immediate vs lazy vs pull) over shared pre-encoded RecordBatches.
+//     Every store's state must match the pinned digest of the
+//     per-subscriber copy + encode baseline.
+//  5. fanout_loopback / loopback_multicast — the same fan-out over the
+//     threaded LoopbackRouter runtime, one wire encode shared by
+//     reference across every destination. One run is checked against
+//     two pins: the per-subscriber copy baseline and the
+//     per-destination wire-encode baseline.
+//  6. multicast_window — the windowed credit-based multicast on the
+//     threaded runtime: a fan-out run unwindowed and windowed (sliding
+//     windows + coalescing + cross-peer frame sharing), delivering
+//     byte-identical state, plus a slow-subscriber fault where the
+//     victim's channel must pause inside its bound and catch up after
+//     the heal.
+//  7. history — a trajectory-scale recorded history verified by the
+//     naive reference checkers and the swept ones; verdicts must match.
 //  8. churn — the membership + fault-scenario gate: a trajectory-scale
 //     deployment (125 stores / 240 clients / 2000 ops) suffers three
 //     partition/heal cycles, ~10% rolling store churn, and a
 //     flash-crowd join, under EVERY coherence model; the run must
 //     converge and the indexed checkers must return clean verdicts.
-//
-// 10. multicast_window — the windowed credit-based multicast on the
-//     threaded runtime: a 128-subscriber fan-out run unwindowed (the
-//     seed path) and windowed (sliding windows + coalescing + cross-
-//     peer frame sharing), delivering byte-identical state, plus a
-//     slow-subscriber fault where the victim's channel must pause
-//     inside its bound and catch up after the heal.
-//
-//  9. snapshot_delta — page-granular state transfer: a trajectory-scale
+//  9. soak — bounded-memory streaming verification and stability-
+//     horizon GC at 10x the trajectory ops under churn.
+// 10. snapshot_delta — page-granular state transfer: a trajectory-scale
 //     deployment with a large document suffers repeated sparse-update
-//     rejoins (caches crash and recover between small writes), run once
-//     with full-snapshot transfers (the seed behaviour,
-//     delta_snapshots=false) and once page-granularly. The restored
-//     documents must be byte-identical between the runs, and the
-//     delta run must ship at least 5x fewer state-transfer bytes.
-//
-// 11. observability — the write-lifecycle tracer: a deployment run
+//     rejoins (caches crash and recover between small writes). The
+//     restored documents must match the pinned digest of the
+//     whole-document baseline, and the run must ship at least 5x fewer
+//     state-transfer bytes than that baseline's pinned byte count.
+// 11. multi_object — many-object sharding: scaling with the shard
+//     count, hot-shard churn isolation, single-object equivalence, and
+//     idle cost.
+// 12. observability — the write-lifecycle tracer: a deployment run
 //     with tracing off must put byte-identical traffic on the wire
 //     run-to-run (FNV digest over every delivered datagram), tracing
 //     every write must cost <= 2% wall clock, the sampled write's
 //     spans must form one connected trace, and the Chrome-trace JSON
 //     plus (checked builds) a monitor-trip window dump are written as
 //     artifacts.
+// 13. scale_trajectory — wide deployments (hundreds of stores/clients,
+//     thousands of ops) across every coherence model: the numbers the
+//     ROADMAP tracks across PRs.
 //
 // Usage: bench_scale [--smoke] [--out <path>]
 //   --smoke  tiny sizes; validates the harness (CI bitrot check)
@@ -95,6 +95,64 @@ using Clock = std::chrono::steady_clock;
 double seconds_since(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
+
+/// One digest for a whole run: 64-bit FNV-1a folded over every store's
+/// state bytes in store order, each followed by a 0xFF separator (the
+/// framing sim::Network's wire digest uses).
+std::uint64_t run_digest(const std::vector<util::Buffer>& per_store) {
+  std::uint64_t h = util::kFnvOffset;
+  for (const util::Buffer& b : per_store) {
+    h = (util::fnv1a64(b, h) ^ 0xFF) * util::kFnvPrime;
+  }
+  return h;
+}
+
+// ---------------------------------------------------------------------
+// Golden digests of the retired baselines
+// ---------------------------------------------------------------------
+//
+// The fan-out, loopback and snapshot_delta sections used to run every
+// scenario twice, once on a pre-optimisation baseline behind a runtime
+// switch and once on the optimised path, and required byte-identical
+// replica state. The switches are gone. What each baseline produced, on
+// exactly these scenarios and seeds at both sizes, is pinned here, and
+// the one remaining path must reproduce it. Every pin equalled the
+// optimised path's digest when it was captured; the threaded loopback
+// pins were identical over 20 repeated runs.
+struct BaselinePins {
+  /// run_digest over store_state_digest, per-subscriber record copies.
+  /// Immediate and lazy push leave the same replica state.
+  std::uint64_t fanout_push;
+  std::uint64_t fanout_pull;
+  /// run_digest over store_state_digest on the threaded loopback
+  /// runtime: per-subscriber record copies, and per-destination wire
+  /// encodes over shared batches. Both baselines left the same state.
+  std::uint64_t loopback_copy;
+  std::uint64_t loopback_per_target;
+  /// run_digest over every store's document encode after the
+  /// sparse-update rejoin storm with whole-document state transfers,
+  /// and the subscribe/snapshot traffic bytes that run put on the wire.
+  std::uint64_t snapshot_docs;
+  std::uint64_t snapshot_full_transfer_bytes;
+};
+
+constexpr BaselinePins kSmokePins{
+    .fanout_push = 0x5763edfd7d876458ull,
+    .fanout_pull = 0xf0216b9ef7aa193aull,
+    .loopback_copy = 0x2438aeafb139113cull,
+    .loopback_per_target = 0x2438aeafb139113cull,
+    .snapshot_docs = 0xcd7d8f3165245a75ull,
+    .snapshot_full_transfer_bytes = 143722,
+};
+
+constexpr BaselinePins kFullPins{
+    .fanout_push = 0x7e94d49d9da28ccfull,
+    .fanout_pull = 0x32901912e2c642b1ull,
+    .loopback_copy = 0x09beef75cda9437bull,
+    .loopback_per_target = 0x09beef75cda9437bull,
+    .snapshot_docs = 0xcfb649c58cb00d16ull,
+    .snapshot_full_transfer_bytes = 29967305,
+};
 
 // ---------------------------------------------------------------------
 // 1. WriteLog delta microbenchmark
@@ -165,22 +223,20 @@ MicroResult micro_writelog(int records, int queries, int writers, int pages) {
 }
 
 // ---------------------------------------------------------------------
-// 2. End-to-end long-history scenarios (naive vs indexed)
+// 3. End-to-end long-history scenarios
 // ---------------------------------------------------------------------
 
 struct E2eResult {
   int writes = 0;
   int stores = 0;
-  double naive_s = 0;
-  double indexed_s = 0;
-  std::uint64_t events = 0;  // simulator events in the indexed run
+  double wall_s = 0;
+  std::uint64_t events = 0;  // simulator events
   bool converged = false;
 };
 
 /// Long-history pull: a primary accumulates `writes` records while
 /// `stores` replicas poll it. Every poll used to rescan the whole log.
-double run_pull_scenario(int writes, int stores, bool naive,
-                         std::uint64_t* events_out, bool* converged_out) {
+E2eResult run_pull_scenario(int writes, int stores) {
   TestbedOptions opts;
   opts.seed = 11;
   opts.record_history = false;
@@ -189,7 +245,6 @@ double run_pull_scenario(int writes, int stores, bool naive,
   // replicas near their upstream.
   opts.wan.base_latency = sim::SimDuration::millis(1);
   opts.log_compact_threshold = 0;  // keep the full history: worst case
-  opts.naive_log_scan = naive;
   const auto start = Clock::now();
   Testbed bed(opts);
   constexpr ObjectId kObj = 1;
@@ -213,22 +268,18 @@ double run_pull_scenario(int writes, int stores, bool naive,
     bed.run_for(sim::SimDuration::millis(4));
   }
   bed.settle();
-  if (events_out != nullptr) *events_out = bed.sim().events_run();
-  if (converged_out != nullptr) *converged_out = bed.converged(kObj);
-  return seconds_since(start);
+  return E2eResult{writes, stores, seconds_since(start),
+                   bed.sim().events_run(), bed.converged(kObj)};
 }
 
 /// Long-history anti-entropy: eventual coherence, every store gossips
 /// with the primary; both reply and push-back used to rescan the log.
-double run_anti_entropy_scenario(int writes, int stores, bool naive,
-                                 std::uint64_t* events_out,
-                                 bool* converged_out) {
+E2eResult run_anti_entropy_scenario(int writes, int stores) {
   TestbedOptions opts;
   opts.seed = 13;
   opts.record_history = false;
   opts.wan.base_latency = sim::SimDuration::millis(1);
   opts.log_compact_threshold = 0;
-  opts.naive_log_scan = naive;
   const auto start = Clock::now();
   Testbed bed(opts);
   constexpr ObjectId kObj = 1;
@@ -253,24 +304,12 @@ double run_anti_entropy_scenario(int writes, int stores, bool naive,
     bed.run_for(sim::SimDuration::millis(4));
   }
   bed.settle();
-  if (events_out != nullptr) *events_out = bed.sim().events_run();
-  if (converged_out != nullptr) *converged_out = bed.converged(kObj);
-  return seconds_since(start);
-}
-
-template <typename Runner>
-E2eResult run_e2e(Runner runner, int writes, int stores) {
-  E2eResult res;
-  res.writes = writes;
-  res.stores = stores;
-  res.naive_s = runner(writes, stores, /*naive=*/true, nullptr, nullptr);
-  res.indexed_s = runner(writes, stores, /*naive=*/false, &res.events,
-                         &res.converged);
-  return res;
+  return E2eResult{writes, stores, seconds_since(start),
+                   bed.sim().events_run(), bed.converged(kObj)};
 }
 
 // ---------------------------------------------------------------------
-// 3. Scale trajectory across coherence models (indexed only)
+// 13. Scale trajectory across coherence models
 // ---------------------------------------------------------------------
 
 struct TrajectoryRow {
@@ -320,16 +359,15 @@ TrajectoryRow run_trajectory(coherence::ObjectModel model, int mirrors,
 }
 
 // ---------------------------------------------------------------------
-// 4. Propagation fan-out: shared batches vs per-subscriber copies
+// 4. Propagation fan-out over shared record batches
 // ---------------------------------------------------------------------
 
 struct FanoutRow {
   std::string mode;  // immediate | lazy | pull
   int subscribers = 0;
   int writes = 0;
-  double copy_s = 0;    // per-subscriber copy + encode (seed behaviour)
-  double shared_s = 0;  // shared RecordBatch fan-out
-  bool identical = false;  // delivered records byte-identical
+  double wall_s = 0;
+  bool identical = false;  // replica state matches the copy-baseline pin
   bool converged = false;
 };
 
@@ -339,13 +377,11 @@ struct FanoutRun {
   std::vector<util::Buffer> digests;  // per-store delivered state
 };
 
-FanoutRun run_fanout(const std::string& mode, int subscribers, int writes,
-                     bool shared) {
+FanoutRun run_fanout(const std::string& mode, int subscribers, int writes) {
   TestbedOptions opts;
   opts.seed = 29;
   opts.record_history = false;
   opts.wan.base_latency = sim::SimDuration::millis(1);
-  opts.shared_fanout = shared;
   const auto start = Clock::now();
   Testbed bed(opts);
   constexpr ObjectId kObj = 1;
@@ -381,22 +417,20 @@ FanoutRun run_fanout(const std::string& mode, int subscribers, int writes,
   return out;
 }
 
-FanoutRow run_fanout_pair(const std::string& mode, int subscribers,
-                          int writes) {
+FanoutRow run_fanout_row(const std::string& mode, int subscribers,
+                         int writes, std::uint64_t pin) {
+  const FanoutRun run = run_fanout(mode, subscribers, writes);
   FanoutRow row;
   row.mode = mode;
   row.subscribers = subscribers;
   row.writes = writes;
-  const FanoutRun copy = run_fanout(mode, subscribers, writes, false);
-  const FanoutRun shared = run_fanout(mode, subscribers, writes, true);
-  row.copy_s = copy.wall_s;
-  row.shared_s = shared.wall_s;
-  row.converged = copy.converged && shared.converged;
-  row.identical = copy.digests == shared.digests;
+  row.wall_s = run.wall_s;
+  row.converged = run.converged;
+  row.identical = run_digest(run.digests) == pin;
   if (!row.identical) {
     std::fprintf(stderr,
-                 "FATAL: %s fan-out delivered different records with "
-                 "shared batches vs per-subscriber copies\n",
+                 "FATAL: %s fan-out delivered different records than the "
+                 "per-subscriber copy baseline pinned\n",
                  mode.c_str());
     std::exit(1);
   }
@@ -407,17 +441,7 @@ FanoutRow run_fanout_pair(const std::string& mode, int subscribers,
 // 5. Fan-out over the threaded loopback runtime
 // ---------------------------------------------------------------------
 
-struct LoopbackRow {
-  int subscribers = 0;
-  int writes = 0;
-  double copy_s = 0;
-  double shared_s = 0;
-  bool identical = false;
-  bool converged = false;
-};
-
-FanoutRun run_loopback_fanout(int subscribers, int writes, bool shared,
-                              bool shared_wire = true,
+FanoutRun run_loopback_fanout(int subscribers, int writes,
                               net::WindowedMulticast* window = nullptr) {
   net::LoopbackRouter router;
   sim::Simulator sim;  // clock source only; delivery is thread-driven
@@ -443,8 +467,6 @@ FanoutRun run_loopback_fanout(int subscribers, int writes, bool shared,
   pcfg.object = 1;
   pcfg.store_id = 0;
   pcfg.is_primary = true;
-  pcfg.shared_fanout = shared;
-  pcfg.shared_wire = shared_wire;
   pcfg.flow = window;
   stores.push_back(
       std::make_unique<StoreEngine>(make_factory(), sim, pcfg));
@@ -455,8 +477,6 @@ FanoutRun run_loopback_fanout(int subscribers, int writes, bool shared,
     cfg.store_id = static_cast<StoreId>(s + 1);
     cfg.store_class = naming::StoreClass::kObjectInitiated;
     cfg.upstream = primary_addr;
-    cfg.shared_fanout = shared;
-    cfg.shared_wire = shared_wire;
     cfg.flow = window;
     stores.push_back(
         std::make_unique<StoreEngine>(make_factory(), sim, cfg));
@@ -498,57 +518,41 @@ FanoutRun run_loopback_fanout(int subscribers, int writes, bool shared,
   return out;
 }
 
-LoopbackRow run_loopback_pair(int subscribers, int writes) {
-  LoopbackRow row;
-  row.subscribers = subscribers;
-  row.writes = writes;
-  const FanoutRun copy = run_loopback_fanout(subscribers, writes, false);
-  const FanoutRun shared = run_loopback_fanout(subscribers, writes, true);
-  row.copy_s = copy.wall_s;
-  row.shared_s = shared.wall_s;
-  row.converged = copy.converged && shared.converged;
-  row.identical = copy.digests == shared.digests;
-  if (!row.identical) {
-    std::fprintf(stderr, "FATAL: loopback fan-out digests diverged\n");
-    std::exit(1);
-  }
-  return row;
-}
-
-/// Shared-wire multicast on the loopback runtime: per-destination wire
-/// encodes (shared record batches, but one header+body serialization
-/// and one owned datagram per subscriber — the PR-2 behaviour) vs one
-/// encode shared by reference across the router queue.
-struct MulticastRow {
+/// One loopback fan-out run (shared record batches, one wire encode
+/// shared by reference across the router queue) checked against the
+/// pins of both baselines it replaced: per-subscriber record copies
+/// (fanout_loopback) and per-destination wire encodes
+/// (loopback_multicast).
+struct LoopbackResult {
   int subscribers = 0;
   int writes = 0;
-  double per_target_s = 0;
-  double shared_wire_s = 0;
-  bool identical = false;
+  double wall_s = 0;
+  bool copy_identical = false;
+  bool per_target_identical = false;
   bool converged = false;
 };
 
-MulticastRow run_loopback_multicast(int subscribers, int writes) {
-  MulticastRow row;
-  row.subscribers = subscribers;
-  row.writes = writes;
-  const FanoutRun per_target =
-      run_loopback_fanout(subscribers, writes, true, /*shared_wire=*/false);
-  const FanoutRun shared_wire =
-      run_loopback_fanout(subscribers, writes, true, /*shared_wire=*/true);
-  row.per_target_s = per_target.wall_s;
-  row.shared_wire_s = shared_wire.wall_s;
-  row.converged = per_target.converged && shared_wire.converged;
-  row.identical = per_target.digests == shared_wire.digests;
-  if (!row.identical) {
-    std::fprintf(stderr, "FATAL: shared-wire multicast digests diverged\n");
+LoopbackResult run_loopback(int subscribers, int writes,
+                            const BaselinePins& pins) {
+  const FanoutRun run = run_loopback_fanout(subscribers, writes);
+  LoopbackResult res;
+  res.subscribers = subscribers;
+  res.writes = writes;
+  res.wall_s = run.wall_s;
+  res.converged = run.converged;
+  const std::uint64_t digest = run_digest(run.digests);
+  res.copy_identical = digest == pins.loopback_copy;
+  res.per_target_identical = digest == pins.loopback_per_target;
+  if (!res.copy_identical || !res.per_target_identical) {
+    std::fprintf(stderr, "FATAL: loopback fan-out digest diverged from the "
+                         "pinned baselines\n");
     std::exit(1);
   }
-  return row;
+  return res;
 }
 
 // ---------------------------------------------------------------------
-// 10. Windowed credit-based multicast on the threaded runtime
+// 6. Windowed credit-based multicast on the threaded runtime
 // ---------------------------------------------------------------------
 
 struct WindowRow {
@@ -644,7 +648,6 @@ void run_window_fault(int subscribers, int writes, WindowRow& row) {
   pcfg.object = 1;
   pcfg.store_id = 0;
   pcfg.is_primary = true;
-  pcfg.shared_fanout = true;
   pcfg.flow = &window;
   // This leg measures pause -> park -> resume recovery, so the victim's
   // parked batches must outlive the burst: disable the hopeless-peer
@@ -658,7 +661,6 @@ void run_window_fault(int subscribers, int writes, WindowRow& row) {
     cfg.store_id = static_cast<StoreId>(s + 1);
     cfg.store_class = naming::StoreClass::kObjectInitiated;
     cfg.upstream = primary_addr;
-    cfg.shared_fanout = true;
     cfg.flow = &window;
     stores.push_back(std::make_unique<StoreEngine>(make_factory(), sim, cfg));
   }
@@ -714,10 +716,10 @@ WindowRow run_multicast_window(int subscribers, int writes) {
   row.writes = writes;
 
   const FanoutRun plain =
-      run_loopback_fanout(subscribers, writes, true, true, nullptr);
+      run_loopback_fanout(subscribers, writes);
   net::WindowedMulticast window;  // default options
   const FanoutRun windowed =
-      run_loopback_fanout(subscribers, writes, true, true, &window);
+      run_loopback_fanout(subscribers, writes, &window);
 
   row.unwindowed_s = plain.wall_s;
   row.windowed_s = windowed.wall_s;
@@ -981,7 +983,7 @@ ChurnRow run_churn(coherence::ObjectModel model, int mirrors, int caches,
 }
 
 // ---------------------------------------------------------------------
-// 8b. Soak: bounded-memory verification + stability-horizon GC, 10x ops
+// 9. Soak: bounded-memory verification + stability-horizon GC, 10x ops
 // ---------------------------------------------------------------------
 //
 // The long-run configuration the streaming checker and the horizon
@@ -1219,7 +1221,7 @@ SoakRow run_soak(int mirrors, int caches, int clients, int ops, bool smoke) {
 }
 
 // ---------------------------------------------------------------------
-// 9. Delta snapshots: sparse-update rejoins on a large document
+// 10. Delta snapshots: sparse-update rejoins on a large document
 // ---------------------------------------------------------------------
 
 struct SnapshotDeltaRun {
@@ -1239,20 +1241,20 @@ struct SnapshotDeltaResult {
   int page_bytes = 0;
   int rounds = 0;
   int rejoins = 0;
-  SnapshotDeltaRun full;
   SnapshotDeltaRun delta;
-  double reduction = 0;  // full.state_bytes / delta.state_bytes
+  /// The whole-document baseline's state bytes (pinned, not measured).
+  std::uint64_t full_state_bytes = 0;
+  double reduction = 0;  // full_state_bytes / delta.state_bytes
   bool identical = false;
 };
 
-SnapshotDeltaRun run_snapshot_rejoin(bool delta_mode, int mirrors, int caches,
-                                     int pages, int page_bytes, int rounds,
+SnapshotDeltaRun run_snapshot_rejoin(int mirrors, int caches, int pages,
+                                     int page_bytes, int rounds,
                                      int rejoins_per_round) {
   TestbedOptions opts;
   opts.seed = 61;
   opts.record_history = false;
   opts.wan.base_latency = sim::SimDuration::millis(1);
-  opts.delta_snapshots = delta_mode;
   Testbed bed(opts);
   constexpr ObjectId kObj = 1;
 
@@ -1333,7 +1335,7 @@ SnapshotDeltaRun run_snapshot_rejoin(bool delta_mode, int mirrors, int caches,
   return out;
 }
 
-SnapshotDeltaResult run_snapshot_delta(bool smoke) {
+SnapshotDeltaResult run_snapshot_delta(bool smoke, const BaselinePins& pins) {
   const int mirrors = smoke ? 2 : 4;
   const int caches = smoke ? 6 : 120;
   const int pages = smoke ? 32 : 160;
@@ -1347,27 +1349,26 @@ SnapshotDeltaResult run_snapshot_delta(bool smoke) {
   res.page_bytes = page_bytes;
   res.rounds = rounds;
   res.rejoins = rounds * per_round;
-  res.full = run_snapshot_rejoin(false, mirrors, caches, pages, page_bytes,
-                                 rounds, per_round);
-  res.delta = run_snapshot_rejoin(true, mirrors, caches, pages, page_bytes,
-                                  rounds, per_round);
+  res.delta = run_snapshot_rejoin(mirrors, caches, pages, page_bytes, rounds,
+                                  per_round);
+  res.full_state_bytes = pins.snapshot_full_transfer_bytes;
   res.reduction = res.delta.state_bytes > 0
-                      ? static_cast<double>(res.full.state_bytes) /
+                      ? static_cast<double>(res.full_state_bytes) /
                             static_cast<double>(res.delta.state_bytes)
                       : 0.0;
-  res.identical = res.full.converged && res.delta.converged &&
-                  res.full.docs == res.delta.docs;
+  res.identical = res.delta.converged &&
+                  run_digest(res.delta.docs) == pins.snapshot_docs;
   if (!res.identical) {
     std::fprintf(stderr,
                  "FATAL: delta-snapshot rejoin restored different state "
-                 "than the full-snapshot baseline\n");
+                 "than the full-snapshot baseline pinned\n");
     std::exit(1);
   }
   return res;
 }
 
 // ---------------------------------------------------------------------
-// 6. Snapshot-cache microbenchmark
+// 2. Snapshot-cache microbenchmark
 // ---------------------------------------------------------------------
 
 struct SnapshotMicroResult {
@@ -1422,12 +1423,12 @@ SnapshotMicroResult micro_snapshot(int pages, int requests) {
 //
 // The trajectory-scale scenario (1 primary + 4 mirrors + caches,
 // hundreds of clients) is run once with history recording on; the
-// recorded events are then replayed into a naive-mode History (seed
-// recorder: plain appends, full-scan views) and an indexed one (interned
-// pages, per-client/per-store indexes), and the full verification pass
-// (object model + every client's session guarantees) is timed through
-// the seed checkers vs the swept ones. Verdicts must be identical — the
-// run aborts on divergence, which is the CI equivalence gate.
+// recorded events are then replayed into a fresh History (interned
+// pages, per-client/per-store indexes) to time recording, and the full
+// verification pass (object model + every client's session guarantees)
+// is timed through the seed checkers (full-scan `*_naive` views) vs the
+// swept ones. Verdicts must be identical — the run aborts on divergence,
+// which is the CI equivalence gate.
 
 struct HistoryBenchResult {
   int stores = 0;
@@ -1435,8 +1436,7 @@ struct HistoryBenchResult {
   int ops = 0;
   std::size_t events = 0;
   std::size_t pages_interned = 0;
-  double record_naive_s = 0;
-  double record_indexed_s = 0;
+  double record_s = 0;
   double check_naive_s = 0;
   double check_indexed_s = 0;
   bool verdicts_equal = false;
@@ -1546,11 +1546,9 @@ HistoryBenchResult run_history_bench(int mirrors, int caches, int clients,
   res.events = bed.history().size();
   res.pages_interned = bed.history().pages_interned();
 
-  // Recording cost: seed appends vs indexed appends, same event stream.
-  coherence::History naive_hist(/*indexed=*/false);
-  coherence::History indexed_hist(/*indexed=*/true);
-  res.record_naive_s = replay_history(bed.history(), naive_hist);
-  res.record_indexed_s = replay_history(bed.history(), indexed_hist);
+  // Recording cost: the same event stream replayed into a fresh recorder.
+  coherence::History replayed;
+  res.record_s = replay_history(bed.history(), replayed);
 
   std::vector<coherence::SessionSpec> specs;
   for (replication::ClientBinding* u : users) {
@@ -1561,20 +1559,20 @@ HistoryBenchResult run_history_bench(int mirrors, int caches, int clients,
   // one re-scanning the full event log.
   auto start = Clock::now();
   const auto naive_object =
-      coherence::naive::check_object_model(naive_hist, policy.model);
+      coherence::naive::check_object_model(replayed, policy.model);
   std::vector<coherence::CheckResult> naive_sessions;
   naive_sessions.reserve(specs.size());
   for (const auto& spec : specs) {
     naive_sessions.push_back(coherence::naive::check_client_models(
-        naive_hist, spec.client, spec.models));
+        replayed, spec.client, spec.models));
   }
   res.check_naive_s = seconds_since(start);
 
   // Indexed verification: same verdicts from one sweep.
   start = Clock::now();
   const auto indexed_object =
-      coherence::check_object_model(indexed_hist, policy.model);
-  const auto indexed_sessions = coherence::check_sessions(indexed_hist, specs);
+      coherence::check_object_model(replayed, policy.model);
+  const auto indexed_sessions = coherence::check_sessions(replayed, specs);
   res.check_indexed_s = seconds_since(start);
 
   res.verdicts_equal = indexed_object == naive_object &&
@@ -1949,7 +1947,7 @@ MultiObjectResult run_multi_object(bool smoke) {
 }
 
 // ---------------------------------------------------------------------
-// 11. observability — the write-lifecycle tracer's two contracts:
+// 12. observability — the write-lifecycle tracer's two contracts:
 //     tracing disabled leaves the simulated wire byte-identical
 //     run-to-run (digest gate), and tracing every write costs <= 2%
 //     wall clock on a full deployment. The traced run must also yield
@@ -2244,8 +2242,8 @@ ObservabilityResult run_observability(bool smoke,
 void emit_json(std::FILE* f, bool smoke, const MicroResult& micro,
                const SnapshotMicroResult& snap, const E2eResult& pull,
                const E2eResult& ae, const std::vector<FanoutRow>& fanout,
-               const LoopbackRow& loopback, const MulticastRow& multicast,
-               const WindowRow& win, const HistoryBenchResult& hist,
+               const LoopbackResult& loop, const WindowRow& win,
+               const HistoryBenchResult& hist,
                const std::vector<ChurnRow>& churn, const SoakRow& soak,
                const SnapshotDeltaResult& sd,
                const MultiObjectResult& mo,
@@ -2270,53 +2268,41 @@ void emit_json(std::FILE* f, bool smoke, const MicroResult& micro,
                "%.2f},\n",
                snap.pages, snap.requests, snap.uncached_s, snap.cached_s,
                speedup(snap.uncached_s, snap.cached_s));
-  std::fprintf(f,
-               "  \"e2e_pull_long_history\": {\"writes\": %d, \"stores\": %d, "
-               "\"naive_s\": %.4f, \"indexed_s\": %.4f, \"speedup\": %.2f, "
-               "\"sim_events\": %llu, \"converged\": %s},\n",
-               pull.writes, pull.stores, pull.naive_s, pull.indexed_s,
-               speedup(pull.naive_s, pull.indexed_s),
-               static_cast<unsigned long long>(pull.events),
-               pull.converged ? "true" : "false");
-  std::fprintf(f,
-               "  \"e2e_anti_entropy\": {\"writes\": %d, \"stores\": %d, "
-               "\"naive_s\": %.4f, \"indexed_s\": %.4f, \"speedup\": %.2f, "
-               "\"sim_events\": %llu, \"converged\": %s},\n",
-               ae.writes, ae.stores, ae.naive_s, ae.indexed_s,
-               speedup(ae.naive_s, ae.indexed_s),
-               static_cast<unsigned long long>(ae.events),
-               ae.converged ? "true" : "false");
+  for (const auto& [key, e] : {std::pair{"e2e_pull_long_history", &pull},
+                                std::pair{"e2e_anti_entropy", &ae}}) {
+    std::fprintf(f,
+                 "  \"%s\": {\"writes\": %d, \"stores\": %d, \"wall_s\": "
+                 "%.4f, \"sim_events\": %llu, \"converged\": %s},\n",
+                 key, e->writes, e->stores, e->wall_s,
+                 static_cast<unsigned long long>(e->events),
+                 e->converged ? "true" : "false");
+  }
   std::fprintf(f, "  \"fanout\": [\n");
   for (std::size_t i = 0; i < fanout.size(); ++i) {
     const FanoutRow& r = fanout[i];
     std::fprintf(f,
                  "    {\"mode\": \"%s\", \"subscribers\": %d, \"writes\": "
-                 "%d, \"copy_s\": %.4f, \"shared_s\": %.4f, \"speedup\": "
-                 "%.2f, \"identical\": %s, \"converged\": %s}%s\n",
-                 r.mode.c_str(), r.subscribers, r.writes, r.copy_s,
-                 r.shared_s, speedup(r.copy_s, r.shared_s),
+                 "%d, \"wall_s\": %.4f, \"identical\": %s, \"converged\": "
+                 "%s}%s\n",
+                 r.mode.c_str(), r.subscribers, r.writes, r.wall_s,
                  r.identical ? "true" : "false",
                  r.converged ? "true" : "false",
                  i + 1 < fanout.size() ? "," : "");
   }
   std::fprintf(f, "  ],\n");
-  std::fprintf(f,
-               "  \"fanout_loopback\": {\"subscribers\": %d, \"writes\": "
-               "%d, \"copy_s\": %.4f, \"shared_s\": %.4f, \"speedup\": "
-               "%.2f, \"identical\": %s, \"converged\": %s},\n",
-               loopback.subscribers, loopback.writes, loopback.copy_s,
-               loopback.shared_s, speedup(loopback.copy_s, loopback.shared_s),
-               loopback.identical ? "true" : "false",
-               loopback.converged ? "true" : "false");
-  std::fprintf(f,
-               "  \"loopback_multicast\": {\"subscribers\": %d, \"writes\": "
-               "%d, \"per_target_s\": %.4f, \"shared_wire_s\": %.4f, "
-               "\"speedup\": %.2f, \"identical\": %s, \"converged\": %s},\n",
-               multicast.subscribers, multicast.writes, multicast.per_target_s,
-               multicast.shared_wire_s,
-               speedup(multicast.per_target_s, multicast.shared_wire_s),
-               multicast.identical ? "true" : "false",
-               multicast.converged ? "true" : "false");
+  // One loopback run stands in for both retired baselines; each key
+  // reports the match against its own pin.
+  for (const auto& [key, identical] :
+       {std::pair{"fanout_loopback", loop.copy_identical},
+        std::pair{"loopback_multicast", loop.per_target_identical}}) {
+    std::fprintf(f,
+                 "  \"%s\": {\"subscribers\": %d, \"writes\": %d, "
+                 "\"wall_s\": %.4f, \"identical\": %s, \"converged\": "
+                 "%s},\n",
+                 key, loop.subscribers, loop.writes, loop.wall_s,
+                 identical ? "true" : "false",
+                 loop.converged ? "true" : "false");
+  }
   std::fprintf(
       f,
       "  \"multicast_window\": {\"subscribers\": %d, \"writes\": %d, "
@@ -2343,15 +2329,12 @@ void emit_json(std::FILE* f, bool smoke, const MicroResult& micro,
   std::fprintf(
       f,
       "  \"history\": {\"stores\": %d, \"clients\": %d, \"ops\": %d, "
-      "\"events\": %zu, \"pages_interned\": %zu, \"record_naive_s\": %.6f, "
-      "\"record_indexed_s\": %.6f, \"check_naive_s\": %.6f, "
-      "\"check_indexed_s\": %.6f, \"speedup\": %.2f, \"verdicts_equal\": "
-      "%s, \"clean_ok\": %s},\n",
+      "\"events\": %zu, \"pages_interned\": %zu, \"record_s\": %.6f, "
+      "\"check_naive_s\": %.6f, \"check_indexed_s\": %.6f, \"speedup\": "
+      "%.2f, \"verdicts_equal\": %s, \"clean_ok\": %s},\n",
       hist.stores, hist.clients, hist.ops, hist.events, hist.pages_interned,
-      hist.record_naive_s, hist.record_indexed_s, hist.check_naive_s,
-      hist.check_indexed_s,
-      speedup(hist.record_naive_s + hist.check_naive_s,
-              hist.record_indexed_s + hist.check_indexed_s),
+      hist.record_s, hist.check_naive_s, hist.check_indexed_s,
+      speedup(hist.check_naive_s, hist.check_indexed_s),
       hist.verdicts_equal ? "true" : "false",
       hist.clean_ok ? "true" : "false");
   bool churn_all_converged = true;
@@ -2428,14 +2411,13 @@ void emit_json(std::FILE* f, bool smoke, const MicroResult& micro,
       f,
       "  \"snapshot_delta\": {\"stores\": %d, \"pages\": %d, "
       "\"page_bytes\": %d, \"rounds\": %d, \"rejoins\": %d, "
-      "\"full_s\": %.4f, \"delta_s\": %.4f, \"speedup\": %.2f, "
-      "\"full_transfer_bytes\": %llu, \"delta_transfer_bytes\": %llu, "
+      "\"wall_s\": %.4f, \"pinned_full_transfer_bytes\": %llu, "
+      "\"delta_transfer_bytes\": %llu, "
       "\"reduction\": %.2f, \"delta_transfers\": %llu, "
       "\"full_fallbacks\": %llu, \"pages_shipped\": %llu, "
       "\"bytes_saved\": %llu, \"identical\": %s},\n",
       sd.stores, sd.pages, sd.page_bytes, sd.rounds, sd.rejoins,
-      sd.full.wall_s, sd.delta.wall_s, speedup(sd.full.wall_s, sd.delta.wall_s),
-      static_cast<unsigned long long>(sd.full.state_bytes),
+      sd.delta.wall_s, static_cast<unsigned long long>(sd.full_state_bytes),
       static_cast<unsigned long long>(sd.delta.state_bytes), sd.reduction,
       static_cast<unsigned long long>(sd.delta.delta_transfers),
       static_cast<unsigned long long>(sd.delta.full_transfers),
@@ -2533,6 +2515,7 @@ int run(bool smoke, const std::string& out_path) {
   const int traj_caches = smoke ? 6 : 120;
   const int traj_clients = smoke ? 12 : 240;
   const int traj_ops = smoke ? 60 : 2000;
+  const BaselinePins& pins = smoke ? kSmokePins : kFullPins;
 
   std::printf("bench_scale%s: WriteLog micro...\n", smoke ? " (smoke)" : "");
   const MicroResult micro =
@@ -2546,50 +2529,33 @@ int run(bool smoke, const std::string& out_path) {
               snap.cached_s, snap.uncached_s / snap.cached_s);
 
   std::printf("bench_scale: e2e long-history pull...\n");
-  const E2eResult pull = run_e2e(run_pull_scenario, e2e_writes, e2e_stores);
-  std::printf("  naive %.3fs, indexed %.3fs (%.1fx), converged=%d\n",
-              pull.naive_s, pull.indexed_s, pull.naive_s / pull.indexed_s,
-              pull.converged);
+  const E2eResult pull = run_pull_scenario(e2e_writes, e2e_stores);
+  std::printf("  %.3fs, converged=%d\n", pull.wall_s, pull.converged);
 
   std::printf("bench_scale: e2e anti-entropy...\n");
-  const E2eResult ae =
-      run_e2e(run_anti_entropy_scenario, e2e_writes, e2e_stores);
-  std::printf("  naive %.3fs, indexed %.3fs (%.1fx), converged=%d\n",
-              ae.naive_s, ae.indexed_s, ae.naive_s / ae.indexed_s,
-              ae.converged);
+  const E2eResult ae = run_anti_entropy_scenario(e2e_writes, e2e_stores);
+  std::printf("  %.3fs, converged=%d\n", ae.wall_s, ae.converged);
 
   std::printf("bench_scale: propagation fan-out (%d subscribers)...\n",
               fanout_subs);
   std::vector<FanoutRow> fanout;
   for (const char* mode : {"immediate", "lazy", "pull"}) {
-    fanout.push_back(run_fanout_pair(mode, fanout_subs, fanout_writes));
-    std::printf("  %-9s copy %.3fs, shared %.3fs (%.1fx), identical=%d, "
-                "converged=%d\n",
-                fanout.back().mode.c_str(), fanout.back().copy_s,
-                fanout.back().shared_s,
-                fanout.back().copy_s / fanout.back().shared_s,
+    const std::uint64_t pin = std::strcmp(mode, "pull") == 0
+                                  ? pins.fanout_pull
+                                  : pins.fanout_push;
+    fanout.push_back(run_fanout_row(mode, fanout_subs, fanout_writes, pin));
+    std::printf("  %-9s %.3fs, identical=%d, converged=%d\n",
+                fanout.back().mode.c_str(), fanout.back().wall_s,
                 fanout.back().identical, fanout.back().converged);
   }
 
-  std::printf("bench_scale: loopback-runtime fan-out (%d subscribers)...\n",
+  std::printf("bench_scale: loopback-runtime shared-wire fan-out (%d "
+              "subscribers)...\n",
               loop_subs);
-  const LoopbackRow loopback = run_loopback_pair(loop_subs, loop_writes);
-  std::printf("  copy %.3fs, shared %.3fs (%.1fx), identical=%d, "
-              "converged=%d\n",
-              loopback.copy_s, loopback.shared_s,
-              loopback.copy_s / loopback.shared_s, loopback.identical,
-              loopback.converged);
-
-  std::printf("bench_scale: loopback shared-wire multicast (%d subscribers)"
-              "...\n",
-              loop_subs);
-  const MulticastRow multicast = run_loopback_multicast(loop_subs,
-                                                        loop_writes);
-  std::printf("  per-target %.3fs, shared wire %.3fs (%.1fx), identical=%d, "
-              "converged=%d\n",
-              multicast.per_target_s, multicast.shared_wire_s,
-              multicast.per_target_s / multicast.shared_wire_s,
-              multicast.identical, multicast.converged);
+  const LoopbackResult loop = run_loopback(loop_subs, loop_writes, pins);
+  std::printf("  %.3fs, identical copy=%d per-target=%d, converged=%d\n",
+              loop.wall_s, loop.copy_identical, loop.per_target_identical,
+              loop.converged);
 
   const int win_subs = smoke ? 16 : 128;
   const int win_writes = smoke ? 40 : 300;
@@ -2611,14 +2577,12 @@ int run(bool smoke, const std::string& out_path) {
   const HistoryBenchResult hist =
       run_history_bench(/*mirrors=*/4, traj_caches, traj_clients, traj_ops);
   std::printf(
-      "  %zu events, %d stores, %d clients: record naive %.4fs / indexed "
-      "%.4fs, check naive %.4fs / indexed %.4fs (%.1fx), verdicts_equal=%d "
-      "clean=%d\n",
-      hist.events, hist.stores, hist.clients, hist.record_naive_s,
-      hist.record_indexed_s, hist.check_naive_s, hist.check_indexed_s,
-      (hist.record_naive_s + hist.check_naive_s) /
-          (hist.record_indexed_s + hist.check_indexed_s),
-      hist.verdicts_equal, hist.clean_ok);
+      "  %zu events, %d stores, %d clients: record %.4fs, check naive "
+      "%.4fs / indexed %.4fs (%.1fx), verdicts_equal=%d clean=%d\n",
+      hist.events, hist.stores, hist.clients, hist.record_s,
+      hist.check_naive_s, hist.check_indexed_s,
+      hist.check_naive_s / hist.check_indexed_s, hist.verdicts_equal,
+      hist.clean_ok);
 
   std::printf("bench_scale: churn/partition scenarios across models...\n");
   std::vector<ChurnRow> churn;
@@ -2668,14 +2632,14 @@ int run(bool smoke, const std::string& out_path) {
       soak.memory_bounded, soak.clean, soak.converged);
 
   std::printf("bench_scale: delta-snapshot sparse-update rejoins...\n");
-  const SnapshotDeltaResult sd = run_snapshot_delta(smoke);
+  const SnapshotDeltaResult sd = run_snapshot_delta(smoke, pins);
   std::printf(
-      "  %d stores, %d pages x %dB, %d rejoins: full %.3fs / %.1fKB, "
-      "delta %.3fs / %.1fKB (%.1fx fewer bytes), deltas=%llu "
-      "fallbacks=%llu identical=%d\n",
-      sd.stores, sd.pages, sd.page_bytes, sd.rejoins, sd.full.wall_s,
-      sd.full.state_bytes / 1024.0, sd.delta.wall_s,
-      sd.delta.state_bytes / 1024.0, sd.reduction,
+      "  %d stores, %d pages x %dB, %d rejoins: %.3fs, %.1fKB vs %.1fKB "
+      "pinned full (%.1fx fewer bytes), deltas=%llu fallbacks=%llu "
+      "identical=%d\n",
+      sd.stores, sd.pages, sd.page_bytes, sd.rejoins, sd.delta.wall_s,
+      sd.delta.state_bytes / 1024.0, sd.full_state_bytes / 1024.0,
+      sd.reduction,
       static_cast<unsigned long long>(sd.delta.delta_transfers),
       static_cast<unsigned long long>(sd.delta.full_transfers),
       sd.identical);
@@ -2746,8 +2710,8 @@ int run(bool smoke, const std::string& out_path) {
     std::fprintf(stderr, "cannot open %s\n", out_path.c_str());
     return 1;
   }
-  emit_json(f, smoke, micro, snap, pull, ae, fanout, loopback, multicast,
-            win, hist, churn, soak, sd, mo, ob, rows);
+  emit_json(f, smoke, micro, snap, pull, ae, fanout, loop, win, hist, churn,
+            soak, sd, mo, ob, rows);
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
 
@@ -2763,12 +2727,8 @@ int run(bool smoke, const std::string& out_path) {
       return 1;
     }
   }
-  if (!loopback.converged || !loopback.identical) {
+  if (!loop.converged || !loop.copy_identical || !loop.per_target_identical) {
     std::fprintf(stderr, "FAIL: loopback fan-out broke equivalence\n");
-    return 1;
-  }
-  if (!multicast.converged || !multicast.identical) {
-    std::fprintf(stderr, "FAIL: shared-wire multicast broke equivalence\n");
     return 1;
   }
   if (!win.converged || !win.identical || !win.queue_bounded ||

@@ -181,7 +181,7 @@ class VectorClock {
 
   static VectorClock decode(util::Reader& r) {
     VectorClock vc;
-    const std::uint64_t n = r.varint();
+    const std::uint64_t n = r.count(5);  // u32 client + varint value
     vc.entries_.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
       const ClientId c = r.u32();

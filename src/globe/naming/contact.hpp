@@ -40,6 +40,9 @@ struct ContactPoint {
 
   friend bool operator==(const ContactPoint&, const ContactPoint&) = default;
 
+  /// Encoded size: node, port, class, store id, primary flag.
+  static constexpr std::size_t kWireSize = 4 + 2 + 1 + 4 + 1;
+
   void encode(util::Writer& w) const {
     w.u32(address.node);
     w.u16(address.port);

@@ -552,80 +552,50 @@ void ClientBinding::remove(ObjectId object, const std::string& page,
 void ClientBinding::get_document(ObjectId object, DocumentHandler cb) {
   Session& s = session(object);
   resolve(s, [this, &s, cb = std::move(cb)]() mutable {
-    if (options_.delta_snapshots) {
-      get_document_delta(s, std::move(cb));
-      return;
+    // Fetch-miss restore through the delta-snapshot path: ship the
+    // cached document's page summary (or a bare floor while the cache
+    // mirrors the bound store's lineage) and receive only the pages that
+    // changed.
+    SnapshotDeltaRequest req;
+    if (s.doc_source != kInvalidStore && s.doc_source_addr == s.read_store) {
+      // The cache is only ever mutated by these transfers, so while the
+      // binding is unchanged the last version is an exact floor.
+      req.mode = SnapshotDeltaRequest::Mode::kFloor;
+      req.floor_source = s.doc_source;
+      req.floor_version = s.doc_source_version;
+    } else {
+      req.mode = SnapshotDeltaRequest::Mode::kSummary;
+      req.have = s.doc_cache.summarize();
     }
-    ClientRequest req = base_request(s, msg::Invocation::get_document());
-    comm_.request_with(s.read_store, msg::MsgType::kInvokeRequest, s.object,
-                       [&](util::Writer& w) { req.encode(w); },
-                       [this, &s, cb = std::move(cb)](
-                           bool ok, const Address&,
-                           const msg::EnvelopeView& env) {
-                         DocumentResult res;
-                         if (!ok) {
-                           res.error = "request timed out";
-                           cb(std::move(res));
-                           return;
-                         }
-                         InvokeReply::View rep =
-                             InvokeReply::decode_view(env.body);
-                         res.ok = rep.ok;
-                         res.error = std::move(rep.error);
-                         res.store = rep.store;
-                         if (rep.ok) {
-                           res.document.restore(rep.value);
-                         }
-                         s.read_set.merge(rep.store_clock);
-                         cb(std::move(res));
-                       },
-                       options_.timeout, options_.retries);
-  });
-}
-
-void ClientBinding::get_document_delta(Session& s, DocumentHandler cb) {
-  // Fetch-miss restore through the delta-snapshot path: ship the cached
-  // document's page summary (or a bare floor while the cache mirrors the
-  // bound store's lineage) and receive only the pages that changed.
-  SnapshotDeltaRequest req;
-  if (s.doc_source != kInvalidStore && s.doc_source_addr == s.read_store) {
-    // The cache is only ever mutated by these transfers, so while the
-    // binding is unchanged the last version is an exact floor.
-    req.mode = SnapshotDeltaRequest::Mode::kFloor;
-    req.floor_source = s.doc_source;
-    req.floor_version = s.doc_source_version;
-  } else {
-    req.mode = SnapshotDeltaRequest::Mode::kSummary;
-    req.have = s.doc_cache.summarize();
-  }
-  comm_.request_with(
-      s.read_store, msg::MsgType::kSnapshotDeltaRequest, s.object,
-      [&](util::Writer& w) { req.encode(w); },
-      [this, &s, cb = std::move(cb)](bool ok, const Address&,
-                                     const msg::EnvelopeView& env) {
-        DocumentResult res;
-        if (!ok) {
-          res.error = "request timed out";
-          on_operation_failed(s);
+    comm_.request_with(
+        s.read_store, msg::MsgType::kSnapshotDeltaRequest, s.object,
+        [&](util::Writer& w) { req.encode(w); },
+        [this, &s, cb = std::move(cb)](bool ok, const Address&,
+                                       const msg::EnvelopeView& env) {
+          DocumentResult res;
+          if (!ok) {
+            res.error = "request timed out";
+            on_operation_failed(s);
+            cb(std::move(res));
+            return;
+          }
+          StateTransfer::View st = StateTransfer::decode_view(env.body);
+          if (st.full) {
+            s.doc_cache.restore(st.snapshot);
+          } else {
+            s.doc_cache.apply_delta(st.delta);
+          }
+          s.doc_source = st.source;
+          s.doc_source_addr = s.read_store;
+          s.doc_source_version = st.version;
+          s.read_set.merge(st.clock);
+          res.ok = true;
+          res.store = st.source;
+          res.document = s.doc_cache;
           cb(std::move(res));
-          return;
-        }
-        StateTransfer::View st = StateTransfer::decode_view(env.body);
-        if (st.full) {
-          s.doc_cache.restore(st.snapshot);
-        } else {
-          s.doc_cache.apply_delta(st.delta);
-        }
-        s.doc_source = st.source;
-        s.doc_source_addr = s.read_store;
-        s.doc_source_version = st.version;
-        s.read_set.merge(st.clock);
-        res.ok = true;
-        res.store = st.source;
-        res.document = s.doc_cache;
-        cb(std::move(res));
-      },
-      options_.timeout, options_.retries);
+        },
+        options_.timeout, options_.retries);
+  });
 }
 
 }  // namespace globe::replication

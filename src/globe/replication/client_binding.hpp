@@ -70,12 +70,6 @@ struct BindOptions {
   net::Address placement;
   /// Store layer preferred when re-resolving reads after a view change.
   naming::StoreClass preferred_layer = naming::StoreClass::kClientInitiated;
-  /// Page-granular document fetches: get_document() keeps a client-side
-  /// document cache and asks the store for a delta against it (the
-  /// binding's page summary, or a bare version floor while the cache
-  /// mirrors the store's lineage) instead of re-fetching the whole
-  /// document every time. False restores the seed full-fetch behaviour.
-  bool delta_snapshots = true;
 };
 
 struct ReadResult {
@@ -154,7 +148,8 @@ class ClientBinding {
     remove(options_.object, page, std::move(cb));
   }
 
-  /// Fetches the entire document.
+  /// Fetches the entire document as a page delta against the binding's
+  /// cached copy.
   void get_document(ObjectId object, DocumentHandler cb);
   void get_document(DocumentHandler cb) {
     get_document(options_.object, std::move(cb));
@@ -198,7 +193,7 @@ class ClientBinding {
     return placement_ == nullptr ? nullptr : placement_.get();
   }
 
-  /// Client-side document cache maintained by delta-mode get_document()
+  /// Client-side document cache maintained by get_document()
   /// (tests / examples). Default-object session.
   [[nodiscard]] const web::WebDocument& document_cache() const;
 
@@ -251,7 +246,6 @@ class ClientBinding {
   void resolve(Session& s, std::function<void()> then);
   void apply_resolution(Session& s);
   void read_impl(Session& s, const std::string& page, ReadHandler cb);
-  void get_document_delta(Session& s, DocumentHandler cb);
   void on_view_delta(const membership::ViewDelta& delta);
   void fetch_full_view();
   ClientRequest base_request(Session& s, msg::Invocation inv);

@@ -341,7 +341,8 @@ struct SnapshotDeltaRequest {
     m.mode = static_cast<Mode>(r.u8());
     m.floor_source = r.u32();
     m.floor_version = r.varint();
-    const std::uint64_t n = r.varint();
+    // page string + WriteId(12) + two varints.
+    const std::uint64_t n = r.count(15);
     m.have.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
       m.have.push_back(web::PageStamp::decode(r));
@@ -435,7 +436,7 @@ struct InvalidateMsg {
   static InvalidateMsg decode(BytesView wire) {
     Reader r(wire);
     InvalidateMsg m;
-    const std::uint64_t n = r.varint();
+    const std::uint64_t n = r.count(1);  // length-prefixed page names
     m.pages.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) m.pages.push_back(r.str());
     m.known_clock = VectorClock::decode(r);
@@ -513,10 +514,8 @@ struct ClockBeacon {
     Reader r(wire);
     ClockBeacon m;
     m.generation = r.varint();
-    const std::uint64_t n = r.varint();
-    // Every entry takes at least three bytes: a corrupt count must not
-    // drive the reservation.
-    m.entries.reserve(std::min<std::uint64_t>(n, r.remaining() / 3));
+    const std::uint64_t n = r.count(3);  // object, clock, gseq varints
+    m.entries.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
       Entry e;
       e.object = r.varint();
@@ -582,7 +581,7 @@ struct FetchRequest {
     m.have_clock = VectorClock::decode(r);
     m.have_gseq = r.varint();
     m.want_full = r.boolean();
-    const std::uint64_t n = r.varint();
+    const std::uint64_t n = r.count(1);  // length-prefixed page names
     m.pages.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) m.pages.push_back(r.str());
     m.validate_only = r.boolean();

@@ -93,14 +93,9 @@ void Network::deliver(const Address& from, const Address& to,
   ++stats_.messages_delivered;
   stats_.bytes_delivered += size;
   if (digest_enabled_) {
-    std::uint64_t h = wire_digest_;
-    for (const auto byte : payload) {
-      h ^= static_cast<std::uint8_t>(byte);
-      h *= 1099511628211ull;
-    }
-    h ^= 0xFF;  // datagram separator: digests distinguish framings
-    h *= 1099511628211ull;
-    wire_digest_ = h;
+    const std::uint64_t h = util::fnv1a64(payload, wire_digest_);
+    // Datagram separator: digests distinguish framings.
+    wire_digest_ = (h ^ 0xFF) * util::kFnvPrime;
   }
   it->second(from, payload);
 }

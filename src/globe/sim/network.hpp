@@ -141,7 +141,7 @@ class Network {
   /// prove that disabled tracing leaves the wire stream byte-identical.
   void enable_wire_digest(bool on) {
     digest_enabled_ = on;
-    wire_digest_ = kFnvOffset;
+    wire_digest_ = util::kFnvOffset;
   }
   [[nodiscard]] std::uint64_t wire_digest() const { return wire_digest_; }
 
@@ -194,9 +194,8 @@ class Network {
   std::size_t sends_since_fifo_prune_ = 0;
   LinkSpec default_link_;
   TrafficStats stats_;
-  static constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
   bool digest_enabled_ = false;
-  std::uint64_t wire_digest_ = kFnvOffset;
+  std::uint64_t wire_digest_ = util::kFnvOffset;
 };
 
 }  // namespace globe::sim

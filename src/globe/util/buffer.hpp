@@ -59,6 +59,21 @@ inline std::string to_string(BytesView b) {
   return std::string(reinterpret_cast<const char*>(b.data()), b.size());
 }
 
+inline constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+inline constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+
+/// 64-bit FNV-1a over `b`, continuing from `h`: passing one result as
+/// the next call's `h` folds several buffers into one order-sensitive
+/// digest.
+[[nodiscard]] inline std::uint64_t fnv1a64(BytesView b,
+                                           std::uint64_t h = kFnvOffset) {
+  for (const std::byte c : b) {
+    h ^= static_cast<std::uint8_t>(c);
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
 /// Appends binary data to a Buffer.
 class Writer {
  public:
@@ -158,6 +173,19 @@ class Reader {
       shift += 7;
     }
     return result;
+  }
+
+  /// Reads an element count and rejects one that cannot fit in the
+  /// remaining input when every element takes at least `min_item_bytes`.
+  /// Decoders reserve() from the result, so a hostile count must fail as
+  /// a CodecError here rather than as a std::length_error (or a huge
+  /// allocation) there. Division, not multiplication: `n * min` wraps.
+  std::uint64_t count(std::size_t min_item_bytes) {
+    const std::uint64_t n = varint();
+    if (n > remaining() / min_item_bytes) {
+      throw CodecError("element count exceeds input");
+    }
+    return n;
   }
 
   BytesView bytes() {

@@ -85,7 +85,8 @@ inline void encode_records(util::Writer& w,
 }
 
 inline std::vector<WriteRecord> decode_records(util::Reader& r) {
-  const std::uint64_t n = r.varint();
+  // wid(12) + op + three strings + clock + two varints + i64 + bool.
+  const std::uint64_t n = r.count(28);
   std::vector<WriteRecord> records;
   records.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) {

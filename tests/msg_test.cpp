@@ -1,8 +1,15 @@
 // Unit tests for envelopes, invocations, and replication protocol bodies.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <string>
+#include <vector>
+
+#include "globe/membership/view.hpp"
 #include "globe/msg/envelope.hpp"
 #include "globe/msg/invocation.hpp"
+#include "globe/net/framing.hpp"
 #include "globe/replication/protocol.hpp"
 
 namespace globe {
@@ -296,14 +303,118 @@ TEST(Protocol, ClockBeaconAndCatchUpRoundTrip) {
       9u);
 }
 
-TEST(Protocol, ClockBeaconRejectsHostileEntryCount) {
-  // A corrupt count fails on the missing bytes; it never sizes a
-  // reservation.
+TEST(Protocol, DecodersRejectHostileElementCounts) {
+  // Every decoder that sizes a container from a wire count must fail
+  // closed: a count that cannot fit in the remaining bytes is a
+  // CodecError (which receive loops catch), never a std::length_error
+  // or bad_alloc from reserve() that takes the process down.
+  constexpr std::uint64_t kHuge = std::uint64_t{1} << 62;
+  struct Case {
+    std::string name;
+    std::function<void(util::Writer&)> body;
+    std::function<void(util::BytesView)> decode;
+  };
+  const auto reader = [](auto decode) {
+    return [decode](util::BytesView b) {
+      util::Reader r(b);
+      decode(r);
+    };
+  };
+  const std::vector<Case> cases = {
+      {"VectorClock", [&](util::Writer& w) { w.varint(kHuge); },
+       reader([](util::Reader& r) { coherence::VectorClock::decode(r); })},
+      {"decode_records", [&](util::Writer& w) { w.varint(kHuge); },
+       reader([](util::Reader& r) { web::decode_records(r); })},
+      {"UpdateMsg", [&](util::Writer& w) { w.varint(kHuge); },
+       [](util::BytesView b) { replication::UpdateMsg::decode(b); }},
+      {"InvalidateMsg", [&](util::Writer& w) { w.varint(kHuge); },
+       [](util::BytesView b) { replication::InvalidateMsg::decode(b); }},
+      {"FetchRequest.pages",
+       [&](util::Writer& w) {
+         coherence::VectorClock{}.encode(w);
+         w.varint(0);        // have_gseq
+         w.boolean(false);   // want_full
+         w.varint(kHuge);    // pages
+       },
+       [](util::BytesView b) { replication::FetchRequest::decode(b); }},
+      {"FetchRequest.have_clock", [&](util::Writer& w) { w.varint(kHuge); },
+       [](util::BytesView b) { replication::FetchRequest::decode(b); }},
+      {"SnapshotDeltaRequest",
+       [&](util::Writer& w) {
+         w.u8(0);   // mode
+         w.u32(1);  // floor_source
+         w.varint(0);
+         w.varint(kHuge);
+       },
+       reader([](util::Reader& r) {
+         replication::SnapshotDeltaRequest::decode(r);
+       })},
+      {"ClockBeacon",
+       [&](util::Writer& w) {
+         replication::ClockBeacon::encode_header(w, 1, kHuge);
+       },
+       [](util::BytesView b) { replication::ClockBeacon::decode(b); }},
+      {"membership::View",
+       [&](util::Writer& w) {
+         w.u64(1);
+         w.u32(0);
+         w.varint(1);
+         w.varint(kHuge);
+       },
+       reader([](util::Reader& r) { membership::View::decode(r); })},
+      {"ViewDelta.joined",
+       [&](util::Writer& w) {
+         w.u64(1);
+         w.u32(0);
+         w.varint(2);
+         w.varint(kHuge);
+       },
+       [](util::BytesView b) { membership::ViewDelta::decode(b); }},
+      {"ViewDelta.left",
+       [&](util::Writer& w) {
+         w.u64(1);
+         w.u32(0);
+         w.varint(2);
+         w.varint(0);
+         w.varint(kHuge);
+       },
+       [](util::BytesView b) { membership::ViewDelta::decode(b); }},
+      {"DataFrame",
+       [&](util::Writer& w) {
+         w.u8(net::kDataFrameKind);
+         w.u64(1);
+         w.u8(0);  // flags
+         w.varint(kHuge);
+       },
+       [](util::BytesView b) { net::DataFrame::decode(b); }},
+      {"AckFrame",
+       [&](util::Writer& w) {
+         w.u8(net::kAckFrameKind);
+         w.u64(1);
+         w.u32(8);
+         w.varint(kHuge);
+       },
+       [](util::BytesView b) { net::AckFrame::decode(b); }},
+  };
+  for (const Case& c : cases) {
+    util::Writer w;
+    c.body(w);
+    const util::Buffer wire = w.take();
+    EXPECT_THROW(c.decode(util::BytesView(wire)), util::CodecError) << c.name;
+  }
+}
+
+TEST(Protocol, ReaderCountAcceptsWhatFits) {
   util::Writer w;
-  replication::ClockBeacon::encode_header(w, 1, std::uint64_t{1} << 60);
+  w.varint(3);
+  w.u32(0);
+  w.u32(0);
+  w.u32(0);
   const util::Buffer wire = w.take();
-  EXPECT_THROW(replication::ClockBeacon::decode(util::BytesView(wire)),
-               util::CodecError);
+  util::Reader fits{util::BytesView(wire)};
+  EXPECT_EQ(fits.count(4), 3u);
+  util::Reader too_big{util::BytesView(wire)};
+  EXPECT_THROW(too_big.count(5), util::CodecError);
 }
 
 TEST(Protocol, AntiEntropyRoundTrip) {

@@ -12,6 +12,7 @@
 
 #include "globe/net/socket_transport.hpp"
 #include "globe/net/windowed_multicast.hpp"
+#include "globe/replication/protocol.hpp"
 
 namespace globe::net {
 namespace {
@@ -149,6 +150,43 @@ TEST(SocketTransport, CountsUnroutableAndUnknownEndpoints) {
   ASSERT_TRUE(
       wait_for([&] { return host_b.stats().unknown_endpoint == 1u; }));
   EXPECT_EQ(host_b.stats().udp_received, 1u);
+}
+
+TEST(SocketTransport, HostileDatagramCountsDecodeErrorAndHostSurvives) {
+  // A datagram whose body claims 2^62 page names: the receiving handler's
+  // decode must fail as a CodecError, which the UDP receive loop counts,
+  // rather than an exception that escapes the loop and ends the process.
+  SocketHost host_a, host_b;
+  SKIP_IF_NO_SOCKETS(host_a);
+  SKIP_IF_NO_SOCKETS(host_b);
+  link(host_a, 1, host_b, 2);
+
+  std::mutex mu;
+  std::vector<std::vector<std::string>> decoded;
+  auto rx = host_b.create_transport({2, 1}, [&](const Address&,
+                                                BytesView payload) {
+    const auto m = replication::InvalidateMsg::decode(payload);
+    std::lock_guard lock(mu);
+    decoded.push_back(m.pages);
+  });
+  Sink unused;
+  auto tx = host_a.create_transport({1, 1}, unused.handler());
+
+  util::Writer hostile;
+  hostile.varint(std::uint64_t{1} << 62);
+  tx->send({2, 1}, hostile.take());
+  ASSERT_TRUE(wait_for([&] { return host_b.stats().decode_errors == 1u; }));
+
+  replication::InvalidateMsg valid;
+  valid.pages = {"index.html"};
+  tx->send({2, 1}, valid.encode());
+  ASSERT_TRUE(wait_for([&] {
+    std::lock_guard lock(mu);
+    return decoded.size() == 1;
+  }));
+  std::lock_guard lock(mu);
+  EXPECT_EQ(decoded.front(), std::vector<std::string>{"index.html"});
+  EXPECT_EQ(host_b.stats().decode_errors, 1u);
 }
 
 TEST(SocketTransport, WindowedMulticastRunsOverUdp) {
