@@ -59,7 +59,8 @@ E2EResult run_e2e(double drop_rate, bool lossy,
       cache.document().has("p") &&
       cache.document().get("p")->content == "v" + std::to_string(kWrites);
   res.msgs = static_cast<double>(bed.net().stats().messages_sent);
-  res.pram_ok = coherence::check_pram(bed.history()).ok ? 1 : 0;
+  res.pram_ok = coherence::check_object_model(
+      bed.history(), coherence::ObjectModel::kPram).ok ? 1 : 0;
   return res;
 }
 

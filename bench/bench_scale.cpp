@@ -29,12 +29,13 @@
 //     victim's channel must pause inside its bound and catch up after
 //     the heal.
 //  7. history — a trajectory-scale recorded history verified by the
-//     naive reference checkers and the swept ones; verdicts must match.
+//     naive oracle and by the post-hoc replay through the streaming
+//     checker; verdicts must match.
 //  8. churn — the membership + fault-scenario gate: a trajectory-scale
 //     deployment (125 stores / 240 clients / 2000 ops) suffers three
 //     partition/heal cycles, ~10% rolling store churn, and a
 //     flash-crowd join, under EVERY coherence model; the run must
-//     converge and the indexed checkers must return clean verdicts.
+//     converge and the checkers must return clean verdicts.
 //  9. soak — bounded-memory streaming verification and stability-
 //     horizon GC at 10x the trajectory ops under churn.
 // 10. snapshot_delta — page-granular state transfer: a trajectory-scale
@@ -993,8 +994,10 @@ ChurnRow run_churn(coherence::ObjectModel model, int mirrors, int caches,
 // (log_compact_threshold = 0). Gates: the checker's retained-event high
 // watermark stays under 25% of the event total, write-log records and
 // tombstones are collected behind the advancing floor, verdicts are
-// byte-identical to the post-hoc indexed checkers over the fully
-// retained history, and the check-as-you-record overhead — measured by
+// byte-identical to a post-hoc replay of the fully retained history into
+// a fresh checker (so horizon retirement and live record order changed
+// no verdict; the `history` section gates the replay against the naive
+// oracle), and the check-as-you-record overhead — measured by
 // replaying the recorded stream with and without the checker attached —
 // stays within 10% of record-only.
 
@@ -1164,8 +1167,9 @@ double run_soak_sim(int mirrors, int caches, int clients, int ops,
   }
   row->converged = bed.converged(kObj);
 
-  // Verdict equivalence against the retained post-hoc checkers, exact
-  // down to the violation strings (CheckResult operator==).
+  // Verdict equivalence against the post-hoc replay of the retained
+  // history, exact down to the violation strings (CheckResult
+  // operator==).
   const coherence::CheckResult model_posthoc =
       coherence::check_object_model(bed.history(), model);
   std::vector<coherence::SessionSpec> specs;
@@ -1178,7 +1182,7 @@ double run_soak_sim(int mirrors, int caches, int clients, int ops,
   // Informational, not gated: churn-era retries complete ops out of
   // program order across retirement boundaries, which the checker
   // conservatively reports as inexact even when (as the line above
-  // verifies directly) every verdict matches the post-hoc walk.
+  // verifies directly) every verdict matches the post-hoc replay.
   row->exact = sc->exact();
   row->clean = model_posthoc.ok;
   for (const auto& res : sessions_posthoc) row->clean = row->clean && res.ok;
@@ -1418,7 +1422,7 @@ SnapshotMicroResult micro_snapshot(int pages, int requests) {
 }
 
 // ---------------------------------------------------------------------
-// 7. History recording + checker verification (naive vs indexed)
+// 7. History recording + checker verification (naive vs replay)
 // ---------------------------------------------------------------------
 //
 // The trajectory-scale scenario (1 primary + 4 mirrors + caches,
@@ -1426,9 +1430,11 @@ SnapshotMicroResult micro_snapshot(int pages, int requests) {
 // recorded events are then replayed into a fresh History (interned
 // pages, per-client/per-store indexes) to time recording, and the full
 // verification pass (object model + every client's session guarantees)
-// is timed through the seed checkers (full-scan `*_naive` views) vs the
-// swept ones. Verdicts must be identical — the run aborts on divergence,
-// which is the CI equivalence gate.
+// is timed through the naive oracle (full-scan `*_naive` views) vs
+// check_object_model / check_sessions, which replay the History into
+// the StreamingChecker. The two share no checking code; verdicts must
+// be identical — the run aborts on divergence, which is the CI
+// equivalence gate.
 
 struct HistoryBenchResult {
   int stores = 0;
@@ -1438,7 +1444,7 @@ struct HistoryBenchResult {
   std::size_t pages_interned = 0;
   double record_s = 0;
   double check_naive_s = 0;
-  double check_indexed_s = 0;
+  double check_s = 0;
   bool verdicts_equal = false;
   bool clean_ok = false;
 };
@@ -1555,8 +1561,8 @@ HistoryBenchResult run_history_bench(int mirrors, int caches, int clients,
     specs.push_back({u->id(), session});
   }
 
-  // Seed verification: object model + per-client session checks, every
-  // one re-scanning the full event log.
+  // Oracle verification: object model + per-client session checks,
+  // every one re-scanning the full event log.
   auto start = Clock::now();
   const auto naive_object =
       coherence::naive::check_object_model(replayed, policy.model);
@@ -1568,32 +1574,30 @@ HistoryBenchResult run_history_bench(int mirrors, int caches, int clients,
   }
   res.check_naive_s = seconds_since(start);
 
-  // Indexed verification: same verdicts from one sweep.
+  // Library verification: the same verdicts from one replay each.
   start = Clock::now();
-  const auto indexed_object =
-      coherence::check_object_model(replayed, policy.model);
-  const auto indexed_sessions = coherence::check_sessions(replayed, specs);
-  res.check_indexed_s = seconds_since(start);
+  const auto object = coherence::check_object_model(replayed, policy.model);
+  const auto sessions = coherence::check_sessions(replayed, specs);
+  res.check_s = seconds_since(start);
 
-  res.verdicts_equal = indexed_object == naive_object &&
-                       indexed_sessions.size() == naive_sessions.size();
+  res.verdicts_equal = object == naive_object &&
+                       sessions.size() == naive_sessions.size();
   if (res.verdicts_equal) {
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      if (!(indexed_sessions[i] == naive_sessions[i])) {
+      if (!(sessions[i] == naive_sessions[i])) {
         res.verdicts_equal = false;
         break;
       }
     }
   }
-  res.clean_ok = indexed_object.ok;
-  for (const auto& r : indexed_sessions) res.clean_ok = res.clean_ok && r.ok;
+  res.clean_ok = object.ok;
+  for (const auto& r : sessions) res.clean_ok = res.clean_ok && r.ok;
 
   if (!res.verdicts_equal) {
     std::fprintf(stderr,
-                 "FATAL: indexed checker verdicts diverged from the naive "
-                 "baseline\n  naive object:   %s\n  indexed object: %s\n",
-                 naive_object.summary().c_str(),
-                 indexed_object.summary().c_str());
+                 "FATAL: checker verdicts diverged from the naive oracle\n"
+                 "  naive object:   %s\n  checked object: %s\n",
+                 naive_object.summary().c_str(), object.summary().c_str());
     std::exit(1);
   }
   return res;
@@ -2330,11 +2334,11 @@ void emit_json(std::FILE* f, bool smoke, const MicroResult& micro,
       f,
       "  \"history\": {\"stores\": %d, \"clients\": %d, \"ops\": %d, "
       "\"events\": %zu, \"pages_interned\": %zu, \"record_s\": %.6f, "
-      "\"check_naive_s\": %.6f, \"check_indexed_s\": %.6f, \"speedup\": "
+      "\"check_naive_s\": %.6f, \"check_s\": %.6f, \"speedup\": "
       "%.2f, \"verdicts_equal\": %s, \"clean_ok\": %s},\n",
       hist.stores, hist.clients, hist.ops, hist.events, hist.pages_interned,
-      hist.record_s, hist.check_naive_s, hist.check_indexed_s,
-      speedup(hist.check_naive_s, hist.check_indexed_s),
+      hist.record_s, hist.check_naive_s, hist.check_s,
+      speedup(hist.check_naive_s, hist.check_s),
       hist.verdicts_equal ? "true" : "false",
       hist.clean_ok ? "true" : "false");
   bool churn_all_converged = true;
@@ -2578,10 +2582,10 @@ int run(bool smoke, const std::string& out_path) {
       run_history_bench(/*mirrors=*/4, traj_caches, traj_clients, traj_ops);
   std::printf(
       "  %zu events, %d stores, %d clients: record %.4fs, check naive "
-      "%.4fs / indexed %.4fs (%.1fx), verdicts_equal=%d clean=%d\n",
+      "%.4fs / replay %.4fs (%.1fx), verdicts_equal=%d clean=%d\n",
       hist.events, hist.stores, hist.clients, hist.record_s,
-      hist.check_naive_s, hist.check_indexed_s,
-      hist.check_naive_s / hist.check_indexed_s, hist.verdicts_equal,
+      hist.check_naive_s, hist.check_s,
+      hist.check_naive_s / hist.check_s, hist.verdicts_equal,
       hist.clean_ok);
 
   std::printf("bench_scale: churn/partition scenarios across models...\n");

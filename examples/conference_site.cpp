@@ -92,9 +92,10 @@ int main() {
   bed.settle();
 
   // Verify the coherence models actually held over the whole run.
-  const auto pram = coherence::check_pram(bed.history());
-  const auto ryw =
-      coherence::check_read_your_writes(bed.history(), master.id());
+  const auto pram = coherence::check_object_model(
+      bed.history(), coherence::ObjectModel::kPram);
+  const auto ryw = coherence::check_client_models(
+      bed.history(), master.id(), ClientModel::kReadYourWrites);
   std::printf("\nCoherence verification over the recorded history:\n");
   std::printf("  object-based PRAM : %s\n", pram.summary().c_str());
   std::printf("  master RYW        : %s\n", ryw.summary().c_str());

@@ -65,7 +65,8 @@ int main() {
                 has_article ? "yes" : "no ", has_reply ? "yes" : "no ");
   }
 
-  const auto res = coherence::check_causal(bed.history());
+  const auto res = coherence::check_object_model(
+      bed.history(), coherence::ObjectModel::kCausal);
   std::printf("\nCausal-coherence check: %s\n", res.summary().c_str());
   std::printf("Converged: %s\n", bed.converged(kForum) ? "yes" : "no");
   return res.ok ? 0 : 1;

@@ -57,7 +57,8 @@ int main() {
   std::printf("  replica-us: \"%s\"\n",
               replica_us.document().get("canvas")->content.c_str());
 
-  const auto res = coherence::check_sequential(bed.history());
+  const auto res = coherence::check_object_model(
+      bed.history(), coherence::ObjectModel::kSequential);
   std::printf("\nSequential-coherence check over the full history: %s\n",
               res.summary().c_str());
   std::printf("Converged: %s\n", bed.converged(kBoard) ? "yes" : "no");

@@ -58,7 +58,8 @@ Outcome run(core::OutdateReaction reaction, double loss) {
   out.final_content = cache.document().has("news.html")
                           ? cache.document().get("news.html")->content
                           : "(nothing)";
-  out.order_ok = coherence::check_pram(bed.history()).ok;
+  out.order_ok = coherence::check_object_model(
+      bed.history(), coherence::ObjectModel::kPram).ok;
   out.dropped = bed.net().stats().messages_dropped;
   const auto& by_type = bed.metrics().traffic_by_type();
   const auto it =

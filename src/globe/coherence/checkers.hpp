@@ -1,31 +1,30 @@
 // Coherence checkers.
 //
-// Each checker takes a recorded History and verifies one coherence model
+// The checkers take a recorded History and verify one coherence model
 // from the paper. They return a CheckResult listing every violation found
 // (not just the first), which makes property-test failures diagnosable.
 //
-// Object-based models (Section 3.2.1):
-//   check_pram        — per-writer order, contiguous, at every store
-//   check_fifo_pram   — per-writer order, gaps allowed (stale discarded)
-//   check_causal      — store apply order is a linear extension of the
-//                       dependency (vector-clock) order
-//   check_sequential  — all stores apply one total order; client reads
-//                       respect that order and their own program order
-//   check_eventual_delivery — every store eventually applied every write
-//                       that any store applied (quiescent delivery)
+// Object-based models (Section 3.2.1), via check_object_model:
+//   PRAM        — per-writer order, contiguous, at every store
+//   FIFO-PRAM   — per-writer order, gaps allowed (stale discarded)
+//   causal      — store apply order is a linear extension of the
+//                 dependency (vector-clock) order
+//   sequential  — all stores apply one total order; client reads
+//                 respect that order and their own program order
+//   eventual    — every store settles on the same final write per page
+//                 (quiescent delivery)
 //
-// Client-based models (Section 3.2.2), verified per flagged client:
-//   check_monotonic_writes, check_read_your_writes,
-//   check_monotonic_reads, check_writes_follow_reads
+// Client-based models (Section 3.2.2), verified per flagged client via
+// check_sessions / check_client_models: monotonic writes, read your
+// writes, monotonic reads, writes follow reads.
 //
-// Scale: `check_sessions` verifies every client's guarantees in ONE
-// sweep over the history — O(applies + client ops) total instead of the
-// seed's O(clients × events) (each per-client checker rescanned every
-// store's full apply log). `check_client_models` is a thin wrapper over
-// it. The seed implementations are retained verbatim under
-// `coherence::naive` (driven by the History's full-scan views) so tests
-// and `bench_scale` can prove the swept checkers return identical
-// verdicts on clean and corrupted histories.
+// One implementation: the post-hoc entry points replay the retained
+// History into a StreamingChecker (streaming.hpp) with no horizon, so
+// a live check-as-you-record run and an end-of-run check share every
+// line of checking logic. The seed implementations are retained under
+// `coherence::naive` (driven by the History's full-scan views) as the
+// independent oracle: tests and `bench_scale` gate every verdict —
+// clean and corrupted histories alike — against them.
 #pragma once
 
 #include <string>
@@ -60,23 +59,8 @@ struct CheckResult {
   [[nodiscard]] std::string summary(std::size_t max_lines = 5) const;
 };
 
-// -- Object-based models ---------------------------------------------
-
-CheckResult check_pram(const History& h);
-CheckResult check_fifo_pram(const History& h);
-CheckResult check_causal(const History& h);
-CheckResult check_sequential(const History& h);
-CheckResult check_eventual_delivery(const History& h);
-
-/// Dispatches to the checker for `model`.
+/// Verifies the object-based coherence `model` over the whole history.
 CheckResult check_object_model(const History& h, ObjectModel model);
-
-// -- Client-based models ----------------------------------------------
-
-CheckResult check_monotonic_writes(const History& h, ClientId client);
-CheckResult check_read_your_writes(const History& h, ClientId client);
-CheckResult check_monotonic_reads(const History& h, ClientId client);
-CheckResult check_writes_follow_reads(const History& h, ClientId client);
 
 /// One client's session-guarantee request for check_sessions.
 struct SessionSpec {
@@ -84,13 +68,10 @@ struct SessionSpec {
   ClientModel models = ClientModel::kNone;
 };
 
-/// Verifies every spec'd client's session guarantees in one sweep over
-/// the history: the store-order guarantees (monotonic writes,
-/// writes-follow-reads) walk each store's apply log once for ALL
-/// clients, and the read-path guarantees use the per-client operation
-/// index. Returns one CheckResult per spec, in spec order, identical to
-/// running the per-client checkers separately. Expects at most one spec
-/// per client.
+/// Verifies every spec'd client's session guarantees in one replay of
+/// the history. Returns one CheckResult per spec, in spec order, each
+/// merging its guarantees' results in MW, RYW, MR, WFR order. At most
+/// one spec per client: a repeated client aborts.
 std::vector<CheckResult> check_sessions(const History& h,
                                         const std::vector<SessionSpec>& specs);
 
@@ -98,11 +79,11 @@ std::vector<CheckResult> check_sessions(const History& h,
 CheckResult check_client_models(const History& h, ClientId client,
                                 ClientModel models);
 
-// -- Seed baseline ------------------------------------------------------
-// The pre-index checker implementations, operating on the History's
-// full-scan views (O(clients × events) for the session guarantees).
-// Retained so equivalence tests and bench_scale can gate the swept
-// checkers against the original verdicts.
+// -- Oracle ---------------------------------------------------------------
+// The seed checker implementations, one walk per model and per client
+// guarantee over the History's full-scan views (O(clients × events) for
+// the session guarantees). They share no code with the StreamingChecker
+// and are the reference every verdict gate compares against.
 namespace naive {
 
 CheckResult check_pram(const History& h);

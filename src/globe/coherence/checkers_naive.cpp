@@ -1,9 +1,10 @@
-// Seed checker implementations, retained verbatim as the equivalence
-// and cost baseline for the swept/indexed checkers (checkers.cpp).
-// They answer every query through the History's full-scan views
-// (`*_naive`), so a per-client check rescans the whole event log —
-// O(clients × events) across a session sweep — exactly the seed cost
-// that `bench_scale`'s `history` section measures against.
+// Seed checker implementations, retained verbatim as the independent
+// oracle for the one production checker (StreamingChecker, which the
+// post-hoc entry points in checkers.cpp replay into). They answer every
+// query through the History's full-scan views (`*_naive`), so a
+// per-client check rescans the whole event log — O(clients × events)
+// across a session sweep — the seed cost that `bench_scale`'s `history`
+// section measures against.
 #include <algorithm>
 #include <map>
 #include <set>
@@ -183,8 +184,14 @@ CheckResult check_eventual_delivery(const History& h) {
   const auto stores = h.stores_naive();
   if (stores.empty()) return res;
 
-  // After quiescence, every store's final applied write per page must
-  // agree (full rationale in the indexed twin, checkers.cpp).
+  // Under eventual coherence (last-writer-wins), a record that loses the
+  // conflict at one replica is legitimately never applied downstream of
+  // it; what must agree after quiescence is each page's *final* applied
+  // write. Apply events are recorded only for state-changing
+  // applications, so "the last apply per (store, page)" is that store's
+  // final content for the page. Stores that received the page only via
+  // snapshot transfer record no applies and are vacuously consistent
+  // here (Testbed::converged() compares full states).
   std::map<StoreId, std::map<PageId, WriteId>> final_write;
   for (StoreId store : stores) {
     auto& per_page = final_write[store];

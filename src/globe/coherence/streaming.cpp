@@ -3,9 +3,16 @@
 #include <algorithm>
 #include <utility>
 
+#include "globe/util/assert.hpp"
+
 namespace globe::coherence {
 
 void StreamingChecker::add_session(const SessionSpec& spec) {
+  GLOBE_ASSERT_MSG(std::none_of(specs_.begin(), specs_.end(),
+                                [&](const SessionSpec& s) {
+                                  return s.client == spec.client;
+                                }),
+                   "add_session: client already has a session spec");
   const std::size_t i = specs_.size();
   specs_.push_back(spec);
   mw_violations_.emplace_back();

@@ -1,23 +1,24 @@
 // Streaming (check-as-you-record) coherence verification.
 //
-// The post-hoc checkers (checkers.hpp) walk a fully retained History at
-// the end of a run, which makes verification memory O(run length) and
-// caps how long a scenario can be. A StreamingChecker verifies the same
-// properties incrementally as events are recorded: every check that only
-// needs running state (per-writer sequence floors, per-store applied
-// clocks, session read floors) is evaluated at the violating event, and
-// the few facts that genuinely need cross-event context are retained in
-// small side buffers that a cluster-wide *stability horizon*
-// (advance_horizon) retires as the run progresses. Retained-event memory
-// is therefore bounded by the horizon lag, not the run length — the
-// high-watermark counter proves it.
+// The one implementation of every coherence check. Attached to a
+// History (History::attach_streaming) it verifies events as they are
+// recorded: every check that only needs running state (per-writer
+// sequence floors, per-store applied clocks, session read floors) is
+// evaluated at the violating event, and the few facts that genuinely
+// need cross-event context are retained in small side buffers that a
+// cluster-wide *stability horizon* (advance_horizon) retires as the run
+// progresses. Retained-event memory is therefore bounded by the horizon
+// lag, not the run length — the high-watermark counter proves it.
 //
-// Verdict equivalence: model_result() / session_results() assemble
-// CheckResults that are byte-identical — violation strings, order, and
-// events_checked — to check_object_model() / check_sessions() over the
-// same event stream, which the equivalence suite and the bench soak
-// section gate against the retained post-hoc checkers. The indexed and
-// naive post-hoc checkers themselves are untouched.
+// The post-hoc entry points (check_object_model / check_sessions in
+// checkers.hpp) are a replay of a retained History into a fresh
+// StreamingChecker that never sees a horizon. A live checker therefore
+// assembles verdicts byte-identical — violation strings, order, and
+// events_checked — to the post-hoc ones whenever retirement and the live
+// record order do not matter, which the equivalence suites and the bench
+// soak section gate. Both are gated in turn against the independent
+// `coherence::naive` oracle, which shares no checking code with this
+// class.
 //
 // What must be retained, and why:
 //   * sequential, total-order agreement: which WriteId each global seq
@@ -41,8 +42,8 @@
 //     out-of-order RYW/MR client marks the checker inexact (exact()).
 //
 // Sessions must be registered (add_session) before the client's first
-// event; events of unregistered clients are checked against the object
-// model only, matching check_sessions' spec semantics.
+// event, at most one spec per client; events of unregistered clients
+// are checked against the object model only.
 #pragma once
 
 #include <cstdint>
@@ -76,8 +77,9 @@ class StreamingChecker {
   StreamingChecker(ObjectModel model, Options options)
       : model_(model), options_(options) {}
 
-  /// Registers one client's session guarantees (at most one spec per
-  /// client, before that client's first event).
+  /// Registers one client's session guarantees (before that client's
+  /// first event). A second spec for the same client aborts: it would
+  /// otherwise never be checked.
   void add_session(const SessionSpec& spec);
 
   /// Mirrors the History's intern table so assembled diagnostics render
@@ -98,12 +100,12 @@ class StreamingChecker {
   /// companion.
   void reset();
 
-  /// Assembles the object-model verdict over everything recorded so far;
-  /// identical to check_object_model() on the same stream.
+  /// Assembles the object-model verdict over everything recorded so far
+  /// (check_object_model() returns this for a replayed History).
   [[nodiscard]] CheckResult model_result() const;
 
-  /// Assembles per-spec session verdicts in registration order;
-  /// identical to check_sessions() with the same specs.
+  /// Assembles per-spec session verdicts in registration order
+  /// (check_sessions() returns these for a replayed History).
   [[nodiscard]] std::vector<CheckResult> session_results() const;
 
   /// Violations detected eagerly so far (at the violating event). For

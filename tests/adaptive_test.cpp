@@ -139,7 +139,8 @@ TEST(UpdatePolicy, CoherenceHoldsAcrossSwitch) {
   bed.settle();
 
   EXPECT_TRUE(bed.converged(kObj));
-  const auto res = coherence::check_pram(bed.history());
+  const auto res = coherence::check_object_model(
+      bed.history(), coherence::ObjectModel::kPram);
   EXPECT_TRUE(res.ok) << res.summary();
 }
 
@@ -180,7 +181,8 @@ TEST(Adaptive, SwitchesToLazyUnderWriteBurstAndBack) {
   controller.stop();
   bed.settle();
   EXPECT_TRUE(bed.converged(kObj));
-  EXPECT_TRUE(coherence::check_pram(bed.history()).ok);
+  EXPECT_TRUE(coherence::check_object_model(
+      bed.history(), coherence::ObjectModel::kPram).ok);
 }
 
 TEST(Adaptive, QuietObjectNeverSwitches) {

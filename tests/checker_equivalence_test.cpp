@@ -1,13 +1,14 @@
-// Equivalence of the indexed/swept verification pipeline with the seed.
+// Equivalence of the post-hoc verification pipeline with the seed oracle.
 //
-// The History index vectors, the swept session checkers
-// (check_sessions), and the per-client wrappers must return verdicts
-// identical to the retained naive implementations — same ok flag, same
-// violations in the same order, same events_checked — on clean
-// histories, on deliberately corrupted ones (out-of-order apply, gap,
-// broken total order, RYW miss, MR regression, WFR violation, eventual
-// divergence), and on randomized event soups. This is the proof the
-// index rewrite changed the cost, not the semantics.
+// The History index vectors, check_object_model / check_sessions (a
+// replay into the StreamingChecker), and the per-client wrapper must
+// return verdicts identical to the retained naive implementations — same
+// ok flag, same violations in the same order, same events_checked — on
+// clean histories, on deliberately corrupted ones (out-of-order apply,
+// gap, broken total order, RYW miss, MR regression, WFR violation,
+// eventual divergence, op-index ties), and on randomized event soups.
+// The naive checkers share no code with the streaming one, so agreement
+// here certifies the semantics, not just self-consistency.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -49,23 +50,23 @@ void expect_view_equivalence(const History& h) {
 void expect_checker_equivalence(const History& h) {
   expect_view_equivalence(h);
   for (ObjectModel m : kAllObjectModels) {
-    const CheckResult indexed = check_object_model(h, m);
+    const CheckResult posthoc = check_object_model(h, m);
     const CheckResult baseline = naive::check_object_model(h, m);
-    EXPECT_EQ(indexed, baseline)
-        << to_string(m) << "\nindexed:  " << indexed.summary()
+    EXPECT_EQ(posthoc, baseline)
+        << to_string(m) << "\nposthoc:  " << posthoc.summary()
         << "\nbaseline: " << baseline.summary();
   }
   std::vector<SessionSpec> specs;
   for (ClientId c : h.clients()) specs.push_back({c, kAllSessions});
-  const auto swept = check_sessions(h, specs);
-  ASSERT_EQ(swept.size(), specs.size());
+  const auto posthoc = check_sessions(h, specs);
+  ASSERT_EQ(posthoc.size(), specs.size());
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const CheckResult baseline =
         naive::check_client_models(h, specs[i].client, kAllSessions);
-    EXPECT_EQ(swept[i], baseline)
-        << "client " << specs[i].client << "\nswept:    "
-        << swept[i].summary() << "\nbaseline: " << baseline.summary();
-    // The per-client wrapper routes through the sweep; it must agree too.
+    EXPECT_EQ(posthoc[i], baseline)
+        << "client " << specs[i].client << "\nposthoc:  "
+        << posthoc[i].summary() << "\nbaseline: " << baseline.summary();
+    // The one-spec wrapper must agree too.
     EXPECT_EQ(check_client_models(h, specs[i].client, kAllSessions),
               baseline);
   }
@@ -118,7 +119,7 @@ TEST(CheckerEquivalence, OutOfOrderApply) {
   h.record_apply(apply(1, {1, 1}, p));
   h.record_write(client_write(1, 1, {1, 1}, p));
   h.record_write(client_write(1, 2, {1, 2}, p));
-  EXPECT_FALSE(check_pram(h).ok);
+  EXPECT_FALSE(check_object_model(h, ObjectModel::kPram).ok);
   EXPECT_FALSE(naive::check_pram(h).ok);
   EXPECT_FALSE(check_client_models(h, 1, ClientModel::kMonotonicWrites).ok);
   expect_checker_equivalence(h);
@@ -129,8 +130,9 @@ TEST(CheckerEquivalence, GapInPerWriterSequence) {
   const PageId p = h.intern("p");
   h.record_apply(apply(0, {1, 1}, p));
   h.record_apply(apply(0, {1, 3}, p));  // skipped seq 2
-  EXPECT_FALSE(check_pram(h).ok);
-  EXPECT_TRUE(check_fifo_pram(h).ok);  // FIFO tolerates the gap
+  EXPECT_FALSE(check_object_model(h, ObjectModel::kPram).ok);
+  // FIFO tolerates the gap.
+  EXPECT_TRUE(check_object_model(h, ObjectModel::kFifoPram).ok);
   expect_checker_equivalence(h);
 }
 
@@ -141,7 +143,7 @@ TEST(CheckerEquivalence, BrokenTotalOrder) {
   h.record_apply(apply(0, {2, 1}, p, 2));
   h.record_apply(apply(1, {2, 1}, p, 1));  // stores disagree on the order
   h.record_apply(apply(1, {1, 1}, p, 2));
-  EXPECT_FALSE(check_sequential(h).ok);
+  EXPECT_FALSE(check_object_model(h, ObjectModel::kSequential).ok);
   expect_checker_equivalence(h);
 }
 
@@ -185,9 +187,11 @@ TEST(CheckerEquivalence, EventualDivergence) {
   const PageId p = h.intern("page.html");
   h.record_apply(apply(0, {1, 4}, p));
   h.record_apply(apply(1, {1, 2}, p));  // settled on an older final write
-  EXPECT_FALSE(check_eventual_delivery(h).ok);
+  EXPECT_FALSE(check_object_model(h, ObjectModel::kEventual).ok);
   // The violation message resolves the interned page name.
-  EXPECT_NE(check_eventual_delivery(h).violations.at(0).find("page.html"),
+  EXPECT_NE(check_object_model(h, ObjectModel::kEventual)
+                .violations.at(0)
+                .find("page.html"),
             std::string::npos);
   expect_checker_equivalence(h);
 }
@@ -205,6 +209,27 @@ TEST(CheckerEquivalence, SnapshotBaselines) {
   h.record_apply(s);
   h.record_apply(apply(2, {1, 6}, p, 8));
   h.record_apply(apply(2, {1, 3}, p, 9));  // regression below the snapshot
+  expect_checker_equivalence(h);
+}
+
+TEST(CheckerEquivalence, OpIndexTies) {
+  // Program order breaks ties writes-first: the read recorded before
+  // the write that shares its op index still runs after it, and two
+  // reads sharing an index keep record order. The replay must see the
+  // same order the oracle sorts into.
+  History h;
+  const PageId p = h.intern("p");
+  VectorClock own;
+  own.set(5, 1);
+  h.record_read(client_read(5, 1, p, {}, 0));  // ties with the write
+  h.record_write(client_write(5, 1, {5, 1}, p, {}, 1));
+  h.record_read(client_read(5, 2, p, own, 1));
+  h.record_read(client_read(5, 2, p, {}, 0));  // ties, then regresses
+  h.record_apply(apply(0, {5, 1}, p, 1));
+  EXPECT_FALSE(check_object_model(h, ObjectModel::kSequential).ok);
+  const CheckResult sessions = check_client_models(h, 5, kAllSessions);
+  EXPECT_FALSE(sessions.ok);
+  EXPECT_EQ(sessions.violations.size(), 3u);  // RYW x2, MR x1
   expect_checker_equivalence(h);
 }
 
@@ -298,7 +323,7 @@ TEST(CheckerEquivalence, RecordedTestbedHistory) {
   ASSERT_GT(bed.history().size(), 100u);
   expect_checker_equivalence(bed.history());
   // This clean causal run must actually pass its model and sessions.
-  EXPECT_TRUE(check_causal(bed.history()).ok);
+  EXPECT_TRUE(check_object_model(bed.history(), ObjectModel::kCausal).ok);
   for (ClientBinding* c : clients) {
     EXPECT_TRUE(check_client_models(bed.history(), c->id(), kAllSessions).ok);
   }

@@ -36,7 +36,7 @@ TEST(SnapshotAware, PramAcceptsLateJoinerStartingMidStream) {
   h.record_apply(snapshot_at(2, snap));
   h.record_apply(apply(2, {1, 6}));
   h.record_apply(apply(2, {1, 7}));
-  EXPECT_TRUE(check_pram(h).ok);
+  EXPECT_TRUE(check_object_model(h, ObjectModel::kPram).ok);
 }
 
 TEST(SnapshotAware, PramStillDetectsGapAfterSnapshot) {
@@ -45,7 +45,7 @@ TEST(SnapshotAware, PramStillDetectsGapAfterSnapshot) {
   snap.set(1, 5);
   h.record_apply(snapshot_at(2, snap));
   h.record_apply(apply(2, {1, 8}));  // skipped 6 and 7
-  EXPECT_FALSE(check_pram(h).ok);
+  EXPECT_FALSE(check_object_model(h, ObjectModel::kPram).ok);
 }
 
 TEST(SnapshotAware, PramStillDetectsRegressionAfterSnapshot) {
@@ -54,7 +54,7 @@ TEST(SnapshotAware, PramStillDetectsRegressionAfterSnapshot) {
   snap.set(1, 5);
   h.record_apply(snapshot_at(2, snap));
   h.record_apply(apply(2, {1, 3}));  // already covered by the snapshot
-  EXPECT_FALSE(check_pram(h).ok);
+  EXPECT_FALSE(check_object_model(h, ObjectModel::kPram).ok);
 }
 
 TEST(SnapshotAware, CausalTreatsSnapshotAsDependencyBaseline) {
@@ -66,7 +66,7 @@ TEST(SnapshotAware, CausalTreatsSnapshotAsDependencyBaseline) {
   h.record_write(WriteEvent{{}, 1, 2, 0, WriteId{2, 1}, 1, dep, 0});
   h.record_apply(snapshot_at(3, snap));
   h.record_apply(apply(3, {2, 1}, 0, dep));  // dep satisfied via snapshot
-  EXPECT_TRUE(check_causal(h).ok);
+  EXPECT_TRUE(check_object_model(h, ObjectModel::kCausal).ok);
 }
 
 TEST(SnapshotAware, CausalStillDetectsMissingDependency) {
@@ -78,7 +78,7 @@ TEST(SnapshotAware, CausalStillDetectsMissingDependency) {
   h.record_write(WriteEvent{{}, 1, 2, 0, WriteId{2, 1}, 1, dep, 0});
   h.record_apply(snapshot_at(3, snap));
   h.record_apply(apply(3, {2, 1}, 0, dep));
-  EXPECT_FALSE(check_causal(h).ok);
+  EXPECT_FALSE(check_object_model(h, ObjectModel::kCausal).ok);
 }
 
 TEST(SnapshotAware, SequentialAcceptsSnapshotBaseline) {
@@ -86,14 +86,14 @@ TEST(SnapshotAware, SequentialAcceptsSnapshotBaseline) {
   h.record_apply(snapshot_at(2, {}, /*gseq=*/10));
   h.record_apply(apply(2, {1, 1}, 11));
   h.record_apply(apply(2, {1, 2}, 12));
-  EXPECT_TRUE(check_sequential(h).ok);
+  EXPECT_TRUE(check_object_model(h, ObjectModel::kSequential).ok);
 }
 
 TEST(SnapshotAware, SequentialDetectsGapAfterSnapshot) {
   History h;
   h.record_apply(snapshot_at(2, {}, 10));
   h.record_apply(apply(2, {1, 1}, 13));  // skipped 11, 12
-  EXPECT_FALSE(check_sequential(h).ok);
+  EXPECT_FALSE(check_object_model(h, ObjectModel::kSequential).ok);
 }
 
 TEST(SnapshotAware, MonotonicWritesUsesSnapshotFloor) {
@@ -102,12 +102,12 @@ TEST(SnapshotAware, MonotonicWritesUsesSnapshotFloor) {
   snap.set(5, 4);
   h.record_apply(snapshot_at(2, snap));
   h.record_apply(apply(2, {5, 5}));
-  EXPECT_TRUE(check_monotonic_writes(h, 5).ok);
+  EXPECT_TRUE(check_client_models(h, 5, ClientModel::kMonotonicWrites).ok);
 
   History bad;
   bad.record_apply(snapshot_at(2, snap));
   bad.record_apply(apply(2, {5, 2}));  // regression below the snapshot
-  EXPECT_FALSE(check_monotonic_writes(bad, 5).ok);
+  EXPECT_FALSE(check_client_models(bad, 5, ClientModel::kMonotonicWrites).ok);
 }
 
 TEST(SnapshotAware, EventualFinalWriteResetByFullTransfer) {
@@ -118,7 +118,7 @@ TEST(SnapshotAware, EventualFinalWriteResetByFullTransfer) {
   h.record_apply(snapshot_at(2, {}));
   h.record_apply(apply(3, {1, 2}));
   h.record_apply(apply(2, {1, 2}));
-  EXPECT_TRUE(check_eventual_delivery(h).ok);
+  EXPECT_TRUE(check_object_model(h, ObjectModel::kEventual).ok);
 }
 
 }  // namespace

@@ -129,7 +129,8 @@ TEST(ClientBinding, SequentialReadDeferredBehindPendingWrite) {
   bed.settle();
   EXPECT_EQ(completion_order,
             (std::vector<std::string>{"write", "read"}));
-  EXPECT_TRUE(coherence::check_sequential(bed.history()).ok);
+  EXPECT_TRUE(coherence::check_object_model(
+      bed.history(), ObjectModel::kSequential).ok);
 }
 
 TEST(ClientBinding, PramReadsAreNotDeferred) {
@@ -176,7 +177,8 @@ TEST(ClientBinding, RywRequirementSkippedWhenModelSubsumes) {
   bed.settle();
   c.read("p", [](ReadResult r) { EXPECT_EQ(r.content, "v"); });
   bed.settle();
-  const auto res = coherence::check_read_your_writes(bed.history(), c.id());
+  const auto res = coherence::check_client_models(
+      bed.history(), c.id(), ClientModel::kReadYourWrites);
   EXPECT_TRUE(res.ok) << res.summary();
 }
 

@@ -123,7 +123,7 @@ History pram_ok_history() {
 
 TEST(CheckPram, AcceptsInOrderApplies) {
   const History h = pram_ok_history();
-  const auto res = check_pram(h);
+  const auto res = check_object_model(h, ObjectModel::kPram);
   EXPECT_TRUE(res.ok) << res.summary();
   EXPECT_EQ(res.events_checked, 6u);
 }
@@ -132,7 +132,7 @@ TEST(CheckPram, DetectsOutOfOrder) {
   History h;
   h.record_apply(ApplyEvent{{}, 0, WriteId{1, 2}, h.intern("p"), {}, 0});
   h.record_apply(ApplyEvent{{}, 0, WriteId{1, 1}, h.intern("p"), {}, 0});
-  const auto res = check_pram(h);
+  const auto res = check_object_model(h, ObjectModel::kPram);
   EXPECT_FALSE(res.ok);
   // Two findings: the gap when (1,2) applied first, then the regression.
   EXPECT_EQ(res.violations.size(), 2u);
@@ -142,15 +142,16 @@ TEST(CheckPram, DetectsGaps) {
   History h;
   h.record_apply(ApplyEvent{{}, 0, WriteId{1, 1}, h.intern("p"), {}, 0});
   h.record_apply(ApplyEvent{{}, 0, WriteId{1, 3}, h.intern("p"), {}, 0});
-  EXPECT_FALSE(check_pram(h).ok);
-  EXPECT_TRUE(check_fifo_pram(h).ok);  // FIFO allows skipping
+  EXPECT_FALSE(check_object_model(h, ObjectModel::kPram).ok);
+  // FIFO allows skipping.
+  EXPECT_TRUE(check_object_model(h, ObjectModel::kFifoPram).ok);
 }
 
 TEST(CheckFifo, StillDetectsRegression) {
   History h;
   h.record_apply(ApplyEvent{{}, 0, WriteId{1, 3}, h.intern("p"), {}, 0});
   h.record_apply(ApplyEvent{{}, 0, WriteId{1, 2}, h.intern("p"), {}, 0});
-  EXPECT_FALSE(check_fifo_pram(h).ok);
+  EXPECT_FALSE(check_object_model(h, ObjectModel::kFifoPram).ok);
 }
 
 TEST(CheckCausal, AcceptsDependencyRespectingOrder) {
@@ -164,7 +165,7 @@ TEST(CheckCausal, AcceptsDependencyRespectingOrder) {
     h.record_apply(ApplyEvent{{}, s, WriteId{1, 1}, h.intern("p"), {}, 0});
     h.record_apply(ApplyEvent{{}, s, WriteId{2, 1}, h.intern("p"), dep, 0});
   }
-  const auto res = check_causal(h);
+  const auto res = check_object_model(h, ObjectModel::kCausal);
   EXPECT_TRUE(res.ok) << res.summary();
 }
 
@@ -177,7 +178,7 @@ TEST(CheckCausal, DetectsDependencyViolation) {
   // Store applies the dependent write first.
   h.record_apply(ApplyEvent{{}, 0, WriteId{2, 1}, h.intern("p"), dep, 0});
   h.record_apply(ApplyEvent{{}, 0, WriteId{1, 1}, h.intern("p"), {}, 0});
-  EXPECT_FALSE(check_causal(h).ok);
+  EXPECT_FALSE(check_object_model(h, ObjectModel::kCausal).ok);
 }
 
 TEST(CheckSequential, AcceptsIdenticalTotalOrder) {
@@ -188,7 +189,7 @@ TEST(CheckSequential, AcceptsIdenticalTotalOrder) {
     h.record_apply(ApplyEvent{{}, s, WriteId{1, 1}, h.intern("p"), {}, 1});
     h.record_apply(ApplyEvent{{}, s, WriteId{2, 1}, h.intern("p"), {}, 2});
   }
-  const auto res = check_sequential(h);
+  const auto res = check_object_model(h, ObjectModel::kSequential);
   EXPECT_TRUE(res.ok) << res.summary();
 }
 
@@ -198,13 +199,13 @@ TEST(CheckSequential, DetectsDivergentOrders) {
   h.record_apply(ApplyEvent{{}, 0, WriteId{2, 1}, h.intern("p"), {}, 2});
   h.record_apply(ApplyEvent{{}, 1, WriteId{2, 1}, h.intern("p"), {}, 1});  // swapped
   h.record_apply(ApplyEvent{{}, 1, WriteId{1, 1}, h.intern("p"), {}, 2});
-  EXPECT_FALSE(check_sequential(h).ok);
+  EXPECT_FALSE(check_object_model(h, ObjectModel::kSequential).ok);
 }
 
 TEST(CheckSequential, DetectsMissingGlobalSeq) {
   History h;
   h.record_apply(ApplyEvent{{}, 0, WriteId{1, 1}, h.intern("p"), {}, 0});
-  EXPECT_FALSE(check_sequential(h).ok);
+  EXPECT_FALSE(check_object_model(h, ObjectModel::kSequential).ok);
 }
 
 TEST(CheckSequential, DetectsNonMonotonicClientReads) {
@@ -220,7 +221,7 @@ TEST(CheckSequential, DetectsNonMonotonicClientReads) {
   r2.store_global_seq = 3;  // went backwards
   h.record_read(r1);
   h.record_read(r2);
-  EXPECT_FALSE(check_sequential(h).ok);
+  EXPECT_FALSE(check_object_model(h, ObjectModel::kSequential).ok);
 }
 
 TEST(CheckEventual, AcceptsConvergedStores) {
@@ -228,14 +229,14 @@ TEST(CheckEventual, AcceptsConvergedStores) {
   for (StoreId s : {0u, 1u, 2u}) {
     h.record_apply(ApplyEvent{{}, s, WriteId{1, 4}, h.intern("p"), {}, 0});
   }
-  EXPECT_TRUE(check_eventual_delivery(h).ok);
+  EXPECT_TRUE(check_object_model(h, ObjectModel::kEventual).ok);
 }
 
 TEST(CheckEventual, DetectsStoreLeftBehind) {
   History h;
   h.record_apply(ApplyEvent{{}, 0, WriteId{1, 4}, h.intern("p"), {}, 0});
   h.record_apply(ApplyEvent{{}, 1, WriteId{1, 2}, h.intern("p"), {}, 0});
-  EXPECT_FALSE(check_eventual_delivery(h).ok);
+  EXPECT_FALSE(check_object_model(h, ObjectModel::kEventual).ok);
 }
 
 TEST(CheckRyw, AcceptsAndDetects) {
@@ -247,14 +248,14 @@ TEST(CheckRyw, AcceptsAndDetects) {
   ok_read.store = 1;
   ok_read.store_clock.set(5, 1);
   h.record_read(ok_read);
-  EXPECT_TRUE(check_read_your_writes(h, 5).ok);
+  EXPECT_TRUE(check_client_models(h, 5, ClientModel::kReadYourWrites).ok);
 
   ReadEvent bad_read;
   bad_read.client = 5;
   bad_read.client_op_index = 3;
   bad_read.store = 2;  // clock missing the client's write
   h.record_read(bad_read);
-  EXPECT_FALSE(check_read_your_writes(h, 5).ok);
+  EXPECT_FALSE(check_client_models(h, 5, ClientModel::kReadYourWrites).ok);
 }
 
 TEST(CheckMonotonicReads, DetectsRegression) {
@@ -269,16 +270,17 @@ TEST(CheckMonotonicReads, DetectsRegression) {
   r2.client_op_index = 2;
   r2.store_clock.set(1, 2);  // older state
   h.record_read(r2);
-  EXPECT_FALSE(check_monotonic_reads(h, 5).ok);
-  EXPECT_TRUE(check_monotonic_reads(h, 6).ok);  // other client unaffected
+  EXPECT_FALSE(check_client_models(h, 5, ClientModel::kMonotonicReads).ok);
+  // The other client is unaffected.
+  EXPECT_TRUE(check_client_models(h, 6, ClientModel::kMonotonicReads).ok);
 }
 
 TEST(CheckMonotonicWrites, DetectsOutOfOrderAtOneStore) {
   History h;
   h.record_apply(ApplyEvent{{}, 0, WriteId{5, 2}, h.intern("p"), {}, 0});
   h.record_apply(ApplyEvent{{}, 0, WriteId{5, 1}, h.intern("p"), {}, 0});
-  EXPECT_FALSE(check_monotonic_writes(h, 5).ok);
-  EXPECT_TRUE(check_monotonic_writes(h, 6).ok);
+  EXPECT_FALSE(check_client_models(h, 5, ClientModel::kMonotonicWrites).ok);
+  EXPECT_TRUE(check_client_models(h, 6, ClientModel::kMonotonicWrites).ok);
 }
 
 TEST(CheckWfr, DetectsWriteBeforeItsReadContext) {
@@ -291,9 +293,9 @@ TEST(CheckWfr, DetectsWriteBeforeItsReadContext) {
   // Store applies the client's write before its read context.
   h.record_apply(ApplyEvent{{}, 0, WriteId{5, 1}, h.intern("p"), dep, 0});
   h.record_apply(ApplyEvent{{}, 0, WriteId{1, 1}, h.intern("p"), {}, 0});
-  EXPECT_FALSE(check_writes_follow_reads(h, 5).ok);
+  EXPECT_FALSE(check_client_models(h, 5, ClientModel::kWritesFollowReads).ok);
   // The violation is attributed only to client 5's writes.
-  EXPECT_TRUE(check_writes_follow_reads(h, 1).ok);
+  EXPECT_TRUE(check_client_models(h, 1, ClientModel::kWritesFollowReads).ok);
 }
 
 TEST(CheckClientModels, CombinesResults) {

@@ -73,7 +73,8 @@ TEST_P(LossyPropagation, DemandReactionRecoversLostUpdates) {
   // PRAM order was never violated despite dropped pushes.
   ASSERT_TRUE(cache.document().has("p"));
   EXPECT_EQ(cache.document().get("p")->content, "v40");
-  const auto res = coherence::check_pram(bed.history());
+  const auto res = coherence::check_object_model(
+      bed.history(), coherence::ObjectModel::kPram);
   EXPECT_TRUE(res.ok) << res.summary();
 }
 
@@ -115,7 +116,8 @@ TEST_P(LossyPropagation, WaitReactionStaysStaleUnderLoss) {
     EXPECT_TRUE(cache.outdated());
   }
   // PRAM order must hold regardless (gaps block, never reorder).
-  EXPECT_TRUE(coherence::check_pram(bed.history()).ok);
+  EXPECT_TRUE(coherence::check_object_model(
+      bed.history(), coherence::ObjectModel::kPram).ok);
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -154,7 +156,8 @@ TEST(Partition, HealedPartitionCatchesUpViaDemand) {
   bed.run_for(sim::SimDuration::seconds(5));
   bed.settle();
   EXPECT_EQ(cache.document().get("p")->content, "v6");
-  EXPECT_TRUE(coherence::check_pram(bed.history()).ok);
+  EXPECT_TRUE(coherence::check_object_model(
+      bed.history(), coherence::ObjectModel::kPram).ok);
 }
 
 TEST(Partition, EventualAntiEntropyHealsDivergence) {

@@ -171,7 +171,8 @@ TEST(EngineBasic, MultipleCachesAllConverge) {
   }
   bed.settle();
   EXPECT_TRUE(bed.converged(kObj));
-  auto check = coherence::check_pram(bed.history());
+  auto check = coherence::check_object_model(
+      bed.history(), coherence::ObjectModel::kPram);
   EXPECT_TRUE(check.ok) << check.summary();
 }
 
@@ -206,7 +207,8 @@ TEST(EngineBasic, IncrementalWritesArriveInOrder) {
   }
   bed.settle();
   EXPECT_EQ(cache.document().get("page")->content, "v20");
-  auto check = coherence::check_pram(bed.history());
+  auto check = coherence::check_object_model(
+      bed.history(), coherence::ObjectModel::kPram);
   EXPECT_TRUE(check.ok) << check.summary();
 }
 

@@ -272,7 +272,8 @@ TEST(BeaconRecovery, EveryObjectRecoversItsLostTail) {
   // The lost beacon was noticed from the generation gap and repaired.
   EXPECT_GT(sent(bed, msg::MsgType::kBeaconCatchUpRequest), 0u);
   for (const auto& [id, h] : split_by_page(bed.history(), ids)) {
-    const auto res = coherence::check_pram(h);
+    const auto res = coherence::check_object_model(
+        h, coherence::ObjectModel::kPram);
     EXPECT_TRUE(res.ok) << "object " << id << ": " << res.summary();
   }
 }

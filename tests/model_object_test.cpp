@@ -51,7 +51,8 @@ TEST(SequentialModel, ConcurrentWritersGetOneTotalOrder) {
   bed.settle();
 
   EXPECT_TRUE(bed.converged(kObj));
-  const auto res = coherence::check_sequential(bed.history());
+  const auto res = coherence::check_object_model(
+      bed.history(), ObjectModel::kSequential);
   EXPECT_TRUE(res.ok) << res.summary();
   // Both replicas hold the same final write.
   EXPECT_EQ(s1.document().get("board")->last_writer,
@@ -93,7 +94,8 @@ TEST(SequentialModel, ReaderNeverTravelsBackInTime) {
     reader.read("p", [](ReadResult) {});
     bed.settle();
   }
-  const auto res = coherence::check_sequential(bed.history());
+  const auto res = coherence::check_object_model(
+      bed.history(), ObjectModel::kSequential);
   EXPECT_TRUE(res.ok) << res.summary();
 }
 
@@ -118,7 +120,8 @@ TEST(PramModel, TwoWritersPerWriterOrderEverywhere) {
   }
   bed.settle();
   EXPECT_TRUE(bed.converged(kObj));
-  const auto res = coherence::check_pram(bed.history());
+  const auto res = coherence::check_object_model(
+      bed.history(), ObjectModel::kPram);
   EXPECT_TRUE(res.ok) << res.summary();
 }
 
@@ -138,7 +141,8 @@ TEST(PramModel, IncrementalRecordThenFieldUpdate) {
   bed.settle();
   EXPECT_EQ(cache.document().get("record-17")->content,
             "title=Globe; year=1998");
-  EXPECT_TRUE(coherence::check_pram(bed.history()).ok);
+  EXPECT_TRUE(coherence::check_object_model(
+      bed.history(), ObjectModel::kPram).ok);
 }
 
 TEST(FifoModel, SupersededWritesSkipped) {
@@ -155,7 +159,8 @@ TEST(FifoModel, SupersededWritesSkipped) {
   bed.settle();
   EXPECT_EQ(primary.document().get("p")->content, "v10");
   EXPECT_EQ(cache.document().get("p")->content, "v10");
-  const auto res = coherence::check_fifo_pram(bed.history());
+  const auto res = coherence::check_object_model(
+      bed.history(), ObjectModel::kFifoPram);
   EXPECT_TRUE(res.ok) << res.summary();
 }
 
@@ -190,7 +195,8 @@ TEST(CausalModel, ReactionNeverPrecedesArticle) {
   bed.settle();
 
   EXPECT_TRUE(bed.converged(kObj));
-  const auto res = coherence::check_causal(bed.history());
+  const auto res = coherence::check_object_model(
+      bed.history(), ObjectModel::kCausal);
   EXPECT_TRUE(res.ok) << res.summary();
   // Every store that has the reply also has the article.
   for (const auto& s : bed.stores()) {
@@ -222,7 +228,8 @@ TEST(CausalModel, ConcurrentWritesBothSurvive) {
     EXPECT_TRUE(s->document().has("page-a"));
     EXPECT_TRUE(s->document().has("page-b"));
   }
-  EXPECT_TRUE(coherence::check_causal(bed.history()).ok);
+  EXPECT_TRUE(coherence::check_object_model(
+      bed.history(), ObjectModel::kCausal).ok);
 }
 
 TEST(CausalModel, ChainsAcrossClients) {
@@ -252,7 +259,8 @@ TEST(CausalModel, ChainsAcrossClients) {
   bed.settle();
 
   EXPECT_TRUE(bed.converged(kObj));
-  EXPECT_TRUE(coherence::check_causal(bed.history()).ok);
+  EXPECT_TRUE(coherence::check_object_model(
+      bed.history(), ObjectModel::kCausal).ok);
 }
 
 // ---------------------------------------------------------------------
@@ -278,7 +286,8 @@ TEST(EventualModel, ConflictingWritesConvergeViaLww) {
   bed.settle();
 
   EXPECT_TRUE(bed.converged(kObj));
-  EXPECT_TRUE(coherence::check_eventual_delivery(bed.history()).ok);
+  EXPECT_TRUE(coherence::check_object_model(
+      bed.history(), ObjectModel::kEventual).ok);
   const std::string final_content = s1.document().get("p")->content;
   EXPECT_EQ(s2.document().get("p")->content, final_content);
 }

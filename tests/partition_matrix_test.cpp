@@ -1,7 +1,7 @@
 // Partition/heal convergence matrix: every coherence model runs the
 // same scripted scenario — partition the deployment into two sides,
 // issue writes on both sides, heal — and must (a) converge and (b) pass
-// the indexed checkers (object model + all four session guarantees)
+// the checkers (object model + all four session guarantees)
 // with clean verdicts. Multi-master models accept the minority side's
 // writes locally and reconcile them through the membership-driven
 // resync (re-admission -> re-subscribe -> anti-entropy); single-master
@@ -147,7 +147,7 @@ TEST_P(PartitionMatrix, PartitionWritesBothSidesHealConverges) {
   EXPECT_TRUE(cache_b.document() == primary.document());
   EXPECT_TRUE(mirror_b.document() == primary.document());
 
-  // (b) Clean verdicts from the indexed checkers.
+  // (b) Clean verdicts from the checkers.
   const auto object_verdict =
       coherence::check_object_model(bed.history(), param.model);
   EXPECT_TRUE(object_verdict.ok) << object_verdict.summary();

@@ -54,8 +54,8 @@ TEST(ReadYourWrites, MasterSeesItsWriteThroughItsCacheViaDemand) {
   EXPECT_TRUE(read->ok);
   EXPECT_EQ(read->content, "Keynote: Tanenbaum");  // RYW satisfied
   EXPECT_GE(bed.metrics().session_demands(), 1u);  // via demand-update
-  const auto res =
-      coherence::check_read_your_writes(bed.history(), master.id());
+  const auto res = coherence::check_client_models(
+      bed.history(), master.id(), ClientModel::kReadYourWrites);
   EXPECT_TRUE(res.ok) << res.summary();
 }
 
@@ -82,8 +82,8 @@ TEST(ReadYourWrites, WithoutRywStaleCacheServesOldContent) {
   bed.run_for(sim::SimDuration::seconds(1));
   ASSERT_TRUE(read.has_value());
   EXPECT_EQ(read->content, "TBD");  // stale!
-  const auto res =
-      coherence::check_read_your_writes(bed.history(), master.id());
+  const auto res = coherence::check_client_models(
+      bed.history(), master.id(), ClientModel::kReadYourWrites);
   EXPECT_FALSE(res.ok);  // and the checker sees the RYW anomaly
 }
 
@@ -160,8 +160,8 @@ TEST(MonotonicReads, StoreSwitchCannotGoBackInTime) {
   bed.settle();
   ASSERT_TRUE(r2.has_value());
   EXPECT_EQ(r2->content, "day-1");  // MR: demand-updated before serving
-  const auto res = coherence::check_monotonic_reads(bed.history(),
-                                                    reader.id());
+  const auto res = coherence::check_client_models(
+      bed.history(), reader.id(), ClientModel::kMonotonicReads);
   EXPECT_TRUE(res.ok) << res.summary();
 }
 
@@ -191,8 +191,8 @@ TEST(MonotonicReads, WithoutGuaranteeRegressionHappensAndIsDetected) {
   bed.run_for(sim::SimDuration::seconds(1));
   ASSERT_TRUE(r2.has_value());
   EXPECT_EQ(r2->content, "day-0");  // travelled back in time
-  EXPECT_FALSE(coherence::check_monotonic_reads(bed.history(),
-                                                reader.id()).ok);
+  EXPECT_FALSE(coherence::check_client_models(
+      bed.history(), reader.id(), ClientModel::kMonotonicReads).ok);
 }
 
 // ---------------------------------------------------------------------
@@ -211,7 +211,8 @@ TEST(MonotonicWrites, SubsumedByPramObjectModel) {
     c.write("p", "v" + std::to_string(i), [](WriteResult) {});
   }
   bed.settle();
-  EXPECT_TRUE(coherence::check_monotonic_writes(bed.history(), c.id()).ok);
+  EXPECT_TRUE(coherence::check_client_models(
+      bed.history(), c.id(), ClientModel::kMonotonicWrites).ok);
 }
 
 TEST(WritesFollowReads, ReactionOrderedAfterArticleUnderCausalDeps) {
@@ -243,8 +244,8 @@ TEST(WritesFollowReads, ReactionOrderedAfterArticleUnderCausalDeps) {
   bed.settle();
 
   EXPECT_TRUE(bed.converged(kObj));
-  const auto res =
-      coherence::check_writes_follow_reads(bed.history(), replier.id());
+  const auto res = coherence::check_client_models(
+      bed.history(), replier.id(), ClientModel::kWritesFollowReads);
   EXPECT_TRUE(res.ok) << res.summary();
 }
 
@@ -305,7 +306,8 @@ TEST(SessionCombination, SequentialSubsumesAllSessionGuarantees) {
   bed.settle();
   EXPECT_TRUE(
       coherence::check_client_models(bed.history(), user.id(), all).ok);
-  EXPECT_TRUE(coherence::check_sequential(bed.history()).ok);
+  EXPECT_TRUE(coherence::check_object_model(
+      bed.history(), ObjectModel::kSequential).ok);
 }
 
 }  // namespace

@@ -19,10 +19,10 @@ using coherence::WriteId;
 
 constexpr ObjectId kObj = 1;
 constexpr coherence::ClientModel kAllSessions =
-    coherence::ClientModel::kMonotonicWrites |
-    coherence::ClientModel::kReadYourWrites |
-    coherence::ClientModel::kMonotonicReads |
-    coherence::ClientModel::kWritesFollowReads;
+    ClientModel::kMonotonicWrites |
+    ClientModel::kReadYourWrites |
+    ClientModel::kMonotonicReads |
+    ClientModel::kWritesFollowReads;
 
 web::WriteRecord rec(ClientId c, std::uint64_t seq, std::string page,
                      std::uint64_t gseq = 0) {
@@ -207,16 +207,28 @@ TEST(StabilityHorizon, HeartbeatsAggregateTheClusterFloorAndDriveGc) {
   EXPECT_GT(bed.metrics().tombstones_collected(), 0u);
 
   // The streaming checker retired events and stayed equivalent to the
-  // post-hoc verdicts on the fully retained history.
+  // post-hoc replay of the fully retained history (retirement changed no
+  // verdict) and to the naive oracle (the verdicts themselves hold).
   EXPECT_GT(sc.events_retired(), 0u);
   EXPECT_LT(sc.retained_events(), bed.history().size());
   EXPECT_TRUE(sc.exact());
   const coherence::CheckResult model = coherence::check_object_model(
       bed.history(), coherence::ObjectModel::kCausal);
   EXPECT_EQ(sc.model_result(), model);
+  EXPECT_EQ(sc.model_result(),
+            coherence::naive::check_object_model(
+                bed.history(), coherence::ObjectModel::kCausal));
   EXPECT_TRUE(model.ok) << model.violations.front();
-  EXPECT_EQ(sc.session_results(),
+  const auto sessions = sc.session_results();
+  EXPECT_EQ(sessions,
             coherence::check_sessions(bed.history(), sc.sessions()));
+  ASSERT_EQ(sessions.size(), sc.sessions().size());
+  for (std::size_t i = 0; i < sessions.size(); ++i) {
+    const coherence::SessionSpec& spec = sc.sessions()[i];
+    EXPECT_EQ(sessions[i], coherence::naive::check_client_models(
+                               bed.history(), spec.client, spec.models))
+        << "client " << spec.client;
+  }
 }
 
 // Satellite: a crashed store the failure detector has flagged must stop

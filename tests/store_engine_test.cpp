@@ -84,7 +84,8 @@ TEST(StoreEngineTest, MultiplePermanentStoresStayCoherent) {
   bed.settle();
   EXPECT_EQ(perm2.document(), primary.document());
   EXPECT_EQ(perm3.document(), primary.document());
-  EXPECT_TRUE(coherence::check_pram(bed.history()).ok);
+  EXPECT_TRUE(coherence::check_object_model(
+      bed.history(), coherence::ObjectModel::kPram).ok);
 }
 
 TEST(StoreEngineTest, ScopeExcludedCacheStillConvergesViaPassThrough) {

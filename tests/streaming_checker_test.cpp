@@ -1,11 +1,13 @@
 // Equivalence of the streaming (check-as-you-record) verifier with the
-// post-hoc checkers.
+// post-hoc checkers and the naive oracle.
 //
 // A StreamingChecker fed the same event stream as a History must
-// assemble verdicts identical to check_object_model / check_sessions —
-// same ok flag, same violation strings in the same order, same
-// events_checked — on clean recorded runs, on every corrupted shape the
-// post-hoc equivalence suite uses, and on randomized event soups. On top
+// assemble verdicts identical to check_object_model / check_sessions
+// (the same class, replaying the retained History) and to the
+// independent coherence::naive oracle — same ok flag, same violation
+// strings in the same order, same events_checked — on clean recorded
+// runs, on every corrupted shape the post-hoc equivalence suite uses,
+// and on randomized event soups. On top
 // of that it must catch eager violations AT the violating event
 // (violations_so_far), retire buffered state as the stability horizon
 // advances (bounded retained memory), and survive History::clear() as if
@@ -68,22 +70,35 @@ ReadEvent client_read(ClientId client, std::uint64_t op_index, PageId page,
   return e;
 }
 
-/// Compares the streaming verdicts against the post-hoc checkers over
-/// the history the checker was attached to.
+/// Compares the streaming verdicts against the post-hoc replay (which
+/// certifies that live record order and retirement change nothing) and
+/// against the naive oracle (which certifies the verdicts themselves)
+/// over the history the checker was attached to.
 void expect_verdicts_equal(const StreamingChecker& sc, const History& h) {
-  const CheckResult posthoc = check_object_model(h, sc.model());
   const CheckResult streamed = sc.model_result();
+  const CheckResult posthoc = check_object_model(h, sc.model());
+  const CheckResult oracle = naive::check_object_model(h, sc.model());
   EXPECT_EQ(streamed, posthoc)
       << to_string(sc.model()) << "\nstreamed: " << streamed.summary()
       << "\nposthoc:  " << posthoc.summary();
+  EXPECT_EQ(streamed, oracle)
+      << to_string(sc.model()) << "\nstreamed: " << streamed.summary()
+      << "\noracle:   " << oracle.summary();
   const auto swept = check_sessions(h, sc.sessions());
   const auto live = sc.session_results();
   ASSERT_EQ(live.size(), swept.size());
   for (std::size_t i = 0; i < swept.size(); ++i) {
+    const SessionSpec& spec = sc.sessions()[i];
+    const CheckResult naive_result =
+        naive::check_client_models(h, spec.client, spec.models);
     EXPECT_EQ(live[i], swept[i])
-        << to_string(sc.model()) << " client " << sc.sessions()[i].client
+        << to_string(sc.model()) << " client " << spec.client
         << "\nstreamed: " << live[i].summary()
         << "\nposthoc:  " << swept[i].summary();
+    EXPECT_EQ(live[i], naive_result)
+        << to_string(sc.model()) << " client " << spec.client
+        << "\nstreamed: " << live[i].summary()
+        << "\noracle:   " << naive_result.summary();
   }
 }
 
@@ -436,6 +451,30 @@ TEST(StreamingChecker, OutOfOrderWithoutBufferedClocksIsInexact) {
   h.record_read(client_read(9, 3, p, c1));
   h.record_write(client_write(9, 1, {9, 1}, p));  // falls out of order
   EXPECT_FALSE(sc.exact());
+}
+
+// -- Session registration ----------------------------------------------
+
+TEST(StreamingCheckerDeathTest, DuplicateSessionSpecAborts) {
+  // A second spec for the same client used to be silently dropped (its
+  // verdict came back ok with zero events checked, even over a history
+  // that violates it); registration now fails closed.
+  EXPECT_DEATH(
+      {
+        StreamingChecker sc(ObjectModel::kCausal);
+        sc.add_session({1, ClientModel::kMonotonicWrites});
+        sc.add_session({1, ClientModel::kReadYourWrites});
+      },
+      "already has a session spec");
+  History h;
+  const PageId p = h.intern("p");
+  h.record_apply(apply(5, {1, 2}, p));
+  h.record_apply(apply(5, {1, 1}, p));
+  EXPECT_FALSE(
+      naive::check_client_models(h, 1, ClientModel::kMonotonicWrites).ok);
+  EXPECT_DEATH(check_sessions(h, {{1, ClientModel::kMonotonicWrites},
+                                  {1, ClientModel::kMonotonicWrites}}),
+               "already has a session spec");
 }
 
 // -- History::clear() regression ---------------------------------------
