@@ -52,7 +52,7 @@ AdaptiveResult run_phased(int mode /*0=immediate,1=lazy,2=adaptive*/,
     aopts.lazy_above_writes_per_s = 4.0;
     aopts.immediate_below_writes_per_s = 1.0;
     aopts.lazy_period = sim::SimDuration::millis(500);
-    controller.emplace(bed.sim(), primary, aopts);
+    controller.emplace(bed.sim(), primary, kObj, aopts);
     controller->start();
   }
 

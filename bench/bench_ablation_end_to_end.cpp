@@ -56,8 +56,8 @@ E2EResult run_e2e(double drop_rate, bool lossy,
 
   E2EResult res;
   res.delivered_all =
-      cache.document().has("p") &&
-      cache.document().get("p")->content == "v" + std::to_string(kWrites);
+      cache.document(kObj).has("p") &&
+      cache.document(kObj).get("p")->content == "v" + std::to_string(kWrites);
   res.msgs = static_cast<double>(bed.net().stats().messages_sent);
   res.pram_ok = coherence::check_object_model(
       bed.history(), coherence::ObjectModel::kPram).ok ? 1 : 0;

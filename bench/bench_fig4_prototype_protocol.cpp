@@ -89,9 +89,9 @@ void emit_table() {
 
   std::printf("Final PRAM version state (expected_write per client):\n");
   std::printf("  server applied clock : %s\n",
-              server.applied_clock().str().c_str());
+              server.applied_clock(kConf).str().c_str());
   std::printf("  cache-M applied clock: %s\n",
-              cache_m.applied_clock().str().c_str());
+              cache_m.applied_clock(kConf).str().c_str());
   std::printf("Converged: %s\n", bed.converged(kConf) ? "yes" : "no");
 }
 

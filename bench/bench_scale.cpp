@@ -86,6 +86,7 @@
 namespace globe::bench {
 namespace {
 
+using replication::ObjectConfig;
 using replication::StoreConfig;
 using replication::StoreEngine;
 using replication::Testbed;
@@ -414,7 +415,9 @@ FanoutRun run_fanout(const std::string& mode, int subscribers, int writes) {
   FanoutRun out;
   out.wall_s = seconds_since(start);
   out.converged = bed.converged(kObj);
-  for (const auto& s : bed.stores()) out.digests.push_back(replication::store_state_digest(*s));
+  for (const auto& s : bed.stores()) {
+    out.digests.push_back(replication::store_state_digest(*s, kObj, false));
+  }
   return out;
 }
 
@@ -464,23 +467,27 @@ FanoutRun run_loopback_fanout(int subscribers, int writes,
         });
   };
 
+  constexpr ObjectId kObj = 1;
   StoreConfig pcfg;  // PRAM push immediate partial: no timers, no sim run
-  pcfg.object = 1;
   pcfg.store_id = 0;
   pcfg.is_primary = true;
   pcfg.flow = window;
-  stores.push_back(
-      std::make_unique<StoreEngine>(make_factory(), sim, pcfg));
+  ObjectConfig primary_obj;
+  primary_obj.object = kObj;
+  primary_obj.is_primary = true;
+  stores.push_back(std::make_unique<StoreEngine>(
+      make_factory(), sim, pcfg, std::vector{primary_obj}));
   const net::Address primary_addr = stores.front()->address();
   for (int s = 0; s < subscribers; ++s) {
     StoreConfig cfg;
-    cfg.object = 1;
     cfg.store_id = static_cast<StoreId>(s + 1);
     cfg.store_class = naming::StoreClass::kObjectInitiated;
-    cfg.upstream = primary_addr;
     cfg.flow = window;
-    stores.push_back(
-        std::make_unique<StoreEngine>(make_factory(), sim, cfg));
+    ObjectConfig obj;
+    obj.object = kObj;
+    obj.upstream = primary_addr;
+    stores.push_back(std::make_unique<StoreEngine>(make_factory(), sim, cfg,
+                                                   std::vector{obj}));
   }
   router.drain();  // all subscriptions acknowledged
 
@@ -511,10 +518,12 @@ FanoutRun run_loopback_fanout(int subscribers, int writes,
   out.wall_s = seconds_since(start);
   out.converged = true;
   for (std::size_t i = 1; i < stores.size(); ++i) {
-    out.converged = out.converged &&
-                    stores[i]->document() == stores.front()->document();
+    out.converged = out.converged && stores[i]->document(kObj) ==
+                                         stores.front()->document(kObj);
   }
-  for (const auto& s : stores) out.digests.push_back(replication::store_state_digest(*s));
+  for (const auto& s : stores) {
+    out.digests.push_back(replication::store_state_digest(*s, kObj, false));
+  }
   stores.clear();  // unbind endpoints before the router goes away
   return out;
 }
@@ -645,8 +654,8 @@ void run_window_fault(int subscribers, int writes, WindowRow& row) {
         });
   };
 
+  constexpr ObjectId kObj = 1;
   StoreConfig pcfg;
-  pcfg.object = 1;
   pcfg.store_id = 0;
   pcfg.is_primary = true;
   pcfg.flow = &window;
@@ -654,16 +663,22 @@ void run_window_fault(int subscribers, int writes, WindowRow& row) {
   // parked batches must outlive the burst: disable the hopeless-peer
   // disposition that would otherwise discard them after 64 paused rounds.
   pcfg.flow_paused_rounds_limit = 0;
-  stores.push_back(std::make_unique<StoreEngine>(make_factory(), sim, pcfg));
+  ObjectConfig primary_obj;
+  primary_obj.object = kObj;
+  primary_obj.is_primary = true;
+  stores.push_back(std::make_unique<StoreEngine>(make_factory(), sim, pcfg,
+                                                 std::vector{primary_obj}));
   const net::Address primary_addr = stores.front()->address();
   for (int s = 0; s < subscribers; ++s) {
     StoreConfig cfg;
-    cfg.object = 1;
     cfg.store_id = static_cast<StoreId>(s + 1);
     cfg.store_class = naming::StoreClass::kObjectInitiated;
-    cfg.upstream = primary_addr;
     cfg.flow = &window;
-    stores.push_back(std::make_unique<StoreEngine>(make_factory(), sim, cfg));
+    ObjectConfig obj;
+    obj.object = kObj;
+    obj.upstream = primary_addr;
+    stores.push_back(std::make_unique<StoreEngine>(make_factory(), sim, cfg,
+                                                   std::vector{obj}));
   }
   router.drain();  // subscriptions + bootstrap before the fault
 
@@ -692,21 +707,21 @@ void run_window_fault(int subscribers, int writes, WindowRow& row) {
       window.stats().queue_high_watermark <= wopts.max_queue;
   bool healthy_converged = true;
   for (std::size_t i = 2; i < stores.size(); ++i) {
-    healthy_converged = healthy_converged &&
-                        stores[i]->document() == stores.front()->document();
+    healthy_converged = healthy_converged && stores[i]->document(kObj) ==
+                                                 stores.front()->document(kObj);
   }
   row.fault_bounded = row.fault_bounded && healthy_converged;
 
   dropping->store(false);
   for (int round = 0; round < 200; ++round) {
-    if (stores[1]->document() == stores.front()->document()) break;
+    if (stores[1]->document(kObj) == stores.front()->document(kObj)) break;
     window.tick(primary_addr);  // retransmit into the healed path
     router.drain();
     for (auto& s : stores) s->finalize_propagation();
     router.drain();
   }
   row.fault_recovered =
-      stores[1]->document() == stores.front()->document();
+      stores[1]->document(kObj) == stores.front()->document(kObj);
   row.fault_evictions = window.stats().evictions;
   stores.clear();
 }
@@ -1334,7 +1349,7 @@ SnapshotDeltaRun run_snapshot_rejoin(int mirrors, int caches, int pages,
   out.pages_shipped = bed.metrics().snapshot_pages_shipped();
   out.bytes_saved = bed.metrics().snapshot_bytes_saved();
   for (const auto& s : bed.stores()) {
-    out.docs.push_back(s->document().encode_snapshot());
+    out.docs.push_back(s->document(kObj).encode_snapshot());
   }
   return out;
 }
@@ -1607,8 +1622,9 @@ HistoryBenchResult run_history_bench(int mirrors, int caches, int clients,
 // 11. multi_object — many-object sharding (placement + per-shard
 // subgroups + the multi-object engine). Four gates: aggregate scaling
 // with the shard count, hot-shard churn isolation, digest equivalence
-// of a single-object deployment against the legacy path, and idle cost:
-// msgs/op at a large object count within 1.2x of a small one.
+// of a placed single-object deployment against single-object stores,
+// and idle cost: msgs/op at a large object count within 1.2x of a small
+// one.
 // ---------------------------------------------------------------------
 
 struct MultiObjectRow {
@@ -1647,8 +1663,8 @@ struct MultiObjectResult {
   std::uint64_t hot_epoch_after = 0;
   bool cold_untouched = false;
   bool isolation_converged = false;
-  // One object, one shard, placed through the placement service vs the
-  // legacy single-object testbed: per-store state digests must match.
+  // One object, one shard, placed through the placement service vs
+  // single-object stores: per-store state digests must match.
   bool baseline_identical = false;
 };
 
@@ -1883,9 +1899,9 @@ void run_multi_object_isolation(int objects, std::uint64_t seed,
   }
 }
 
-/// The same single-object write stream through the legacy testbed path
-/// and through a one-shard placed deployment: the refactor must not
-/// change what the stores end up holding.
+/// The same single-object write stream through single-object stores
+/// (add_primary/add_store) and through a one-shard placed deployment:
+/// placement must not change what the stores end up holding.
 bool run_multi_object_baseline(int writes, std::uint64_t seed) {
   constexpr ObjectId kObj = 1;
   const auto policy = multi_object_policy();
@@ -1897,13 +1913,13 @@ bool run_multi_object_baseline(int writes, std::uint64_t seed) {
     bed.settle();
   };
 
-  TestbedOptions legacy_opts;
-  legacy_opts.seed = seed;
-  legacy_opts.record_history = false;
-  Testbed legacy(legacy_opts);
-  legacy.add_primary(kObj, policy);
-  legacy.add_store(kObj, naming::StoreClass::kObjectInitiated, policy);
-  drive(legacy);
+  TestbedOptions single_opts;
+  single_opts.seed = seed;
+  single_opts.record_history = false;
+  Testbed single(single_opts);
+  single.add_primary(kObj, policy);
+  single.add_store(kObj, naming::StoreClass::kObjectInitiated, policy);
+  drive(single);
 
   TestbedOptions placed_opts;
   placed_opts.seed = seed;
@@ -1918,8 +1934,8 @@ bool run_multi_object_baseline(int writes, std::uint64_t seed) {
 
   // Topologies differ (the placement node shifts event timing), so the
   // wall-clock stamps are masked; everything else must match per store.
-  for (std::size_t i = 0; i < legacy.stores().size(); ++i) {
-    const auto a = replication::store_state_digest(*legacy.stores()[i], kObj,
+  for (std::size_t i = 0; i < single.stores().size(); ++i) {
+    const auto a = replication::store_state_digest(*single.stores()[i], kObj,
                                                    /*mask_wall_clock=*/true);
     const auto b = replication::store_state_digest(*placed.stores()[i], kObj,
                                                    /*mask_wall_clock=*/true);

@@ -35,6 +35,7 @@
 namespace {
 
 using namespace globe;
+using replication::ObjectConfig;
 using replication::StoreConfig;
 using replication::StoreEngine;
 
@@ -103,7 +104,7 @@ struct World {
     // Wall-clock stamps are masked so the hash covers logical content
     // only, exactly like the cross-transport equivalence gates.
     return fnv1a(util::BytesView(
-        engine->document().encode_snapshot(/*mask_wall_clock=*/true)));
+        engine->document(kObj).encode_snapshot(/*mask_wall_clock=*/true)));
   }
 };
 
@@ -116,12 +117,14 @@ int run_subscriber(int base, int node, int subscribers, int writes,
   if (!w.host.ok()) return 1;
 
   StoreConfig cfg;
-  cfg.object = kObj;
   cfg.store_id = static_cast<StoreId>(node);
   cfg.store_class = naming::StoreClass::kObjectInitiated;
-  cfg.upstream = net::Address{0, 1};
   cfg.flow = &w.window;
-  w.engine = std::make_unique<StoreEngine>(w.factory(node), w.sim, cfg);
+  ObjectConfig obj;
+  obj.object = kObj;
+  obj.upstream = net::Address{0, 1};
+  w.engine = std::make_unique<StoreEngine>(w.factory(node), w.sim, cfg,
+                                           std::vector{obj});
 
   // Converged when the fence page (written last, FIFO-ordered behind
   // the burst) has arrived.
@@ -130,7 +133,7 @@ int run_subscriber(int base, int node, int subscribers, int writes,
   while (!fenced && std::chrono::steady_clock::now() < deadline) {
     {
       std::lock_guard lock(w.engine_mu);
-      fenced = w.engine->document().get("fence.html").has_value();
+      fenced = w.engine->document(kObj).get("fence.html").has_value();
     }
     if (!fenced) std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
@@ -148,11 +151,14 @@ int run_primary(int base, int subscribers, int writes,
   if (!w.host.ok()) return 1;
 
   StoreConfig pcfg;
-  pcfg.object = kObj;
   pcfg.store_id = 0;
   pcfg.is_primary = true;
   pcfg.flow = &w.window;
-  w.engine = std::make_unique<StoreEngine>(w.factory(0), w.sim, pcfg);
+  ObjectConfig obj;
+  obj.object = kObj;
+  obj.is_primary = true;
+  w.engine = std::make_unique<StoreEngine>(w.factory(0), w.sim, pcfg,
+                                           std::vector{obj});
   const net::Address self = w.engine->address();
 
   // The subscribe messages double as the readiness fence: every child
@@ -161,7 +167,7 @@ int run_primary(int base, int subscribers, int writes,
   while (std::chrono::steady_clock::now() < deadline) {
     {
       std::lock_guard lock(w.engine_mu);
-      if (w.engine->subscriber_count() ==
+      if (w.engine->subscriber_count(kObj) ==
           static_cast<std::size_t>(subscribers)) {
         break;
       }
@@ -170,10 +176,10 @@ int run_primary(int base, int subscribers, int writes,
   }
   {
     std::lock_guard lock(w.engine_mu);
-    if (w.engine->subscriber_count() !=
+    if (w.engine->subscriber_count(kObj) !=
         static_cast<std::size_t>(subscribers)) {
       std::fprintf(stderr, "multi_process: only %zu/%d subscribers joined\n",
-                   w.engine->subscriber_count(), subscribers);
+                   w.engine->subscriber_count(kObj), subscribers);
       return 1;
     }
   }

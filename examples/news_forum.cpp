@@ -59,8 +59,8 @@ int main() {
 
   std::printf("\nEvery store that shows the reply also shows the article:\n");
   for (const auto& s : bed.stores()) {
-    const bool has_article = s->document().has("msg-001");
-    const bool has_reply = s->document().has("msg-002");
+    const bool has_article = s->document(kForum).has("msg-001");
+    const bool has_reply = s->document(kForum).has("msg-002");
     std::printf("  store %u: article=%s reply=%s\n", s->id(),
                 has_article ? "yes" : "no ", has_reply ? "yes" : "no ");
   }

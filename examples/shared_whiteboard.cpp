@@ -53,9 +53,9 @@ int main() {
 
   std::printf("\nBoth replicas now show the SAME final stroke:\n");
   std::printf("  replica-eu: \"%s\"\n",
-              replica_eu.document().get("canvas")->content.c_str());
+              replica_eu.document(kBoard).get("canvas")->content.c_str());
   std::printf("  replica-us: \"%s\"\n",
-              replica_us.document().get("canvas")->content.c_str());
+              replica_us.document(kBoard).get("canvas")->content.c_str());
 
   const auto res = coherence::check_object_model(
       bed.history(), coherence::ObjectModel::kSequential);

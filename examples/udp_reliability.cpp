@@ -55,8 +55,8 @@ Outcome run(core::OutdateReaction reaction, double loss) {
   bed.settle();
 
   Outcome out;
-  out.final_content = cache.document().has("news.html")
-                          ? cache.document().get("news.html")->content
+  out.final_content = cache.document(kObj).has("news.html")
+                          ? cache.document(kObj).get("news.html")->content
                           : "(nothing)";
   out.order_ok = coherence::check_object_model(
       bed.history(), coherence::ObjectModel::kPram).ok;

@@ -8,13 +8,13 @@
 // strategy replacement the framework already supports
 // (StoreEngine::update_policy).
 //
-// The AdaptiveController attaches to an object's primary store, samples
-// its read/write counters periodically, and adjusts the transfer-instant
-// parameter: frequent updates on a replicated object favour lazy
-// (periodic, aggregated) propagation; rare updates favour immediate
-// propagation, whose freshness is then free (the paper's own rule of
-// thumb in Section 3.3). Policy changes propagate through the object to
-// every store.
+// The AdaptiveController attaches to one object on its primary store,
+// samples the store's write counter periodically, and adjusts the
+// object's transfer-instant parameter: frequent updates on a replicated
+// object favour lazy (periodic, aggregated) propagation; rare updates
+// favour immediate propagation, whose freshness is then free (the
+// paper's own rule of thumb in Section 3.3). Policy changes propagate
+// through the object to every store.
 #pragma once
 
 #include <functional>
@@ -42,11 +42,12 @@ struct AdaptiveOptions {
 class AdaptiveController {
  public:
   AdaptiveController(sim::Simulator& sim, StoreEngine& primary,
-                     AdaptiveOptions options = {})
+                     ObjectId object, AdaptiveOptions options = {})
       : primary_(primary),
+        object_(object),
         options_(options),
         timer_(sim, options.interval, [this] { sample(); }) {
-    GLOBE_ASSERT_MSG(primary.config().is_primary,
+    GLOBE_ASSERT_MSG(primary.object_config(object).is_primary,
                      "adaptive control attaches to the primary store");
   }
 
@@ -55,7 +56,7 @@ class AdaptiveController {
 
   [[nodiscard]] std::uint64_t switches() const { return switches_; }
   [[nodiscard]] core::TransferInstant current_instant() const {
-    return primary_.config().policy.instant;
+    return primary_.object_config(object_).policy.instant;
   }
 
   /// Invoked after every decision; for tests and instrumentation.
@@ -76,7 +77,7 @@ class AdaptiveController {
     const double write_rate = static_cast<double>(delta) / interval_s;
     last_writes_ = writes;
 
-    auto policy = primary_.config().policy;
+    auto policy = primary_.object_config(object_).policy;
     const auto before = policy.instant;
     if (write_rate >= options_.lazy_above_writes_per_s) {
       policy.instant = core::TransferInstant::kLazy;
@@ -85,7 +86,7 @@ class AdaptiveController {
       policy.instant = core::TransferInstant::kImmediate;
     }
     if (policy.instant != before) {
-      if (primary_.update_policy(policy)) {
+      if (primary_.update_policy(object_, policy)) {
         ++switches_;
         if (on_switch) on_switch(policy.instant);
       }
@@ -93,6 +94,7 @@ class AdaptiveController {
   }
 
   StoreEngine& primary_;
+  ObjectId object_;
   AdaptiveOptions options_;
   sim::PeriodicTimer timer_;
   std::uint64_t last_writes_ = 0;

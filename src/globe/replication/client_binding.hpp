@@ -36,6 +36,7 @@
 #include "globe/metrics/stats.hpp"
 #include "globe/placement/service.hpp"
 #include "globe/replication/protocol.hpp"
+#include "globe/replication/traffic.hpp"
 
 namespace globe::replication {
 
@@ -164,22 +165,24 @@ class ClientBinding {
   /// monotonic-reads guarantee). Default-object session.
   void switch_read_store(const Address& store) {
     default_session().read_store = store;
-    options_.read_store = store;
   }
   void switch_write_store(const Address& store) {
     default_session().write_store = store;
-    options_.write_store = store;
   }
 
+  /// Default-object session state.
   [[nodiscard]] Address read_store() const {
-    return session_or_options_read();
+    return default_session().read_store;
   }
   [[nodiscard]] Address write_store() const {
-    return session_or_options_write();
+    return default_session().write_store;
   }
-
-  [[nodiscard]] const coherence::VectorClock& read_set() const;
-  [[nodiscard]] std::uint64_t writes_issued() const;
+  [[nodiscard]] const coherence::VectorClock& read_set() const {
+    return default_session().read_set;
+  }
+  [[nodiscard]] std::uint64_t writes_issued() const {
+    return default_session().write_seq;
+  }
 
   /// Replica-view epoch last applied (0 = none; membership disabled or
   /// no change seen yet) and how often a view or placement change forced
@@ -195,7 +198,9 @@ class ClientBinding {
 
   /// Client-side document cache maintained by get_document()
   /// (tests / examples). Default-object session.
-  [[nodiscard]] const web::WebDocument& document_cache() const;
+  [[nodiscard]] const web::WebDocument& document_cache() const {
+    return default_session().doc_cache;
+  }
 
  private:
   /// Per-object session: the client-based coherence state plus the
@@ -238,9 +243,12 @@ class ClientBinding {
   };
 
   Session& session(ObjectId object);
-  Session& default_session() { return session(options_.object); }
-  [[nodiscard]] Address session_or_options_read() const;
-  [[nodiscard]] Address session_or_options_write() const;
+  /// The default object's session, created by the constructor (sessions
+  /// are never erased).
+  Session& default_session() { return *sessions_.at(options_.object); }
+  [[nodiscard]] const Session& default_session() const {
+    return *sessions_.at(options_.object);
+  }
   /// Ensures `s` has fresh store addresses (placement resolution when
   /// configured), then runs `then`.
   void resolve(Session& s, std::function<void()> then);
@@ -263,22 +271,9 @@ class ClientBinding {
            options_.object_model == coherence::ObjectModel::kEventual;
   }
 
-  class TrafficAdapter final : public core::TrafficObserver {
-   public:
-    explicit TrafficAdapter(metrics::MetricsSink* sink) : sink_(sink) {}
-    void on_send(msg::MsgType type, std::size_t bytes) override {
-      if (sink_ != nullptr) {
-        sink_->on_message(static_cast<std::uint8_t>(type), bytes);
-      }
-    }
-
-   private:
-    metrics::MetricsSink* sink_;
-  };
-
   sim::Simulator& sim_;
   BindOptions options_;
-  TrafficAdapter traffic_;
+  MetricsTrafficAdapter traffic_;
   core::CommunicationObject comm_;
 
   std::uint64_t op_index_ = 0;  // program order, across all sessions

@@ -58,7 +58,8 @@ void trace_write_span(obs::SpanKind kind, StoreId store, ObjectId object,
 }  // namespace
 
 StoreEngine::StoreEngine(const TransportFactory& factory, sim::Simulator& sim,
-                         StoreConfig config, coherence::History* history,
+                         StoreConfig config, std::vector<ObjectConfig> objects,
+                         coherence::History* history,
                          metrics::MetricsSink* metrics)
     : sim_(sim),
       config_(std::move(config)),
@@ -70,9 +71,11 @@ StoreEngine::StoreEngine(const TransportFactory& factory, sim::Simulator& sim,
       [this](const Address& from, const msg::EnvelopeView& env) {
         on_message(from, env);
       });
-  // Seed the object table with the legacy single-object slice of the
-  // store config; sharded deployments add_object() the rest.
-  def_ = &create_object(config_.object_config());
+  GLOBE_ASSERT_MSG(!config_.membership.valid() || config_.membership_scope != 0,
+                   "membership needs a nonzero scope");
+  // The initial objects subscribe before the timers and the membership
+  // join start; sharded deployments add_object() the rest.
+  for (const ObjectConfig& cfg : objects) create_object(cfg);
   GLOBE_CHECK_HOOK(note_owner_context(this, config_.store_id, 0));
   configure_timers();
   start_membership();
@@ -105,8 +108,7 @@ StoreEngine::ObjectState& StoreEngine::create_object(const ObjectConfig& cfg) {
                   ? make_orderer(ObjectModel::kEventual)
                   : std::make_unique<FifoOrderer>();
 
-  if (o.cfg.is_primary || o.cfg.cache_mode != CacheMode::kGlobe ||
-      !o.cfg.auto_subscribe) {
+  if (o.cfg.is_primary || o.cfg.cache_mode != CacheMode::kGlobe) {
     o.ready = true;
   } else {
     subscribe_to_upstream(o);
@@ -125,6 +127,10 @@ std::vector<ObjectId> StoreEngine::object_ids() const {
   ids.reserve(objects_.size());
   for (const auto& [id, o] : objects_) ids.push_back(id);
   return ids;
+}
+
+const ObjectConfig& StoreEngine::object_config(ObjectId id) const {
+  return obj(id).cfg;
 }
 
 StoreEngine::ObjectState* StoreEngine::find_object(ObjectId id) {
@@ -164,6 +170,8 @@ std::uint64_t StoreEngine::applied_gseq(ObjectId id) const {
 std::size_t StoreEngine::subscriber_count(ObjectId id) const {
   return obj(id).subscribers.size();
 }
+
+bool StoreEngine::outdated(ObjectId id) const { return obj(id).outdated; }
 
 bool StoreEngine::ready(ObjectId id) const { return obj(id).ready; }
 
@@ -257,8 +265,9 @@ void StoreEngine::configure_timers() {
   for (const auto& [id, op] : objects_) arm_timers(timer_periods(*op));
 }
 
-bool StoreEngine::update_policy(const core::ReplicationPolicy& policy) {
-  return update_policy(*def_, policy);
+bool StoreEngine::update_policy(ObjectId id,
+                                const core::ReplicationPolicy& policy) {
+  return update_policy(obj(id), policy);
 }
 
 bool StoreEngine::update_policy(ObjectState& o,
@@ -271,7 +280,6 @@ bool StoreEngine::update_policy(ObjectState& o,
   flush_lazy(o);
   const bool beaconed = beacons(o);
   o.cfg.policy = policy;
-  if (&o == def_) config_.policy = policy;  // keep the legacy view in step
   if (beacons(o) != beaconed) {
     for (const Subscriber& s : o.subscribers) {
       set_beacon_subscription(s.address, o.cfg.object, !beaconed);
@@ -336,7 +344,9 @@ naming::ContactPoint StoreEngine::contact() const {
 
 void StoreEngine::seed(const std::string& page, const std::string& content,
                        const std::string& mime) {
-  seed(def_->cfg.object, page, content, mime);
+  GLOBE_ASSERT_MSG(objects_.size() == 1,
+                   "seed(page, ...) needs a store hosting exactly one object");
+  seed(objects_.begin()->first, page, content, mime);
 }
 
 void StoreEngine::seed(ObjectId id, const std::string& page,
@@ -1004,64 +1014,22 @@ void StoreEngine::propagate(ObjectState& o,
       if (!grouped) groups.emplace_back(std::move(out), std::vector{t});
     }
   }
-  for (auto& g : groups) send_coherence_multi(o, g.second, g.first);
-}
-
-void StoreEngine::send_coherence_multi(
-    ObjectState& o, const std::vector<Address>& to,
-    std::span<const web::RecordBatchPtr> batches) {
-  if (to.empty()) return;
-  if (to.size() == 1) {
-    send_coherence(o, to.front(), batches);
-    return;
-  }
-  const auto& p = o.cfg.policy;
-  if (p.propagation == Propagation::kInvalidate) {
-    InvalidateMsg m;
-    std::set<std::string> pages;
-    for (const web::RecordBatchPtr& b : batches) {
-      pages.insert(b->pages().begin(), b->pages().end());
-    }
-    m.pages.assign(pages.begin(), pages.end());
-    m.known_clock = o.applied_clock;
-    m.known_gseq = o.applied_gseq;
-    comm_.multicast_with(to, msg::MsgType::kInvalidate, o.cfg.object,
-                         [&](util::Writer& w) { m.encode(w); });
-    return;
-  }
-  switch (p.coherence_transfer) {
-    case CoherenceTransfer::kNotification: {
-      NotifyMsg m;
-      m.known_clock = o.applied_clock;
-      m.known_gseq = o.applied_gseq;
-      comm_.multicast_with(to, msg::MsgType::kNotify, o.cfg.object,
-                           [&](util::Writer& w) { m.encode(w); });
-      return;
-    }
-    case CoherenceTransfer::kPartial: {
-      comm_.multicast_with(to, msg::MsgType::kUpdate, o.cfg.object,
-                           [&](util::Writer& w) {
-                             UpdateMsg::encode_batches(w, batches,
-                                                       o.applied_clock,
-                                                       o.applied_gseq);
-                           });
-      return;
-    }
-    case CoherenceTransfer::kFull: {
-      SnapshotMsg m;
-      m.document = o.semantics.snapshot();
-      m.clock = o.applied_clock;
-      m.gseq = o.applied_gseq;
-      comm_.multicast_with(to, msg::MsgType::kSnapshot, o.cfg.object,
-                           [&](util::Writer& w) { m.encode(w); });
-      return;
-    }
-  }
+  for (auto& g : groups) send_coherence(o, g.second, g.first);
 }
 
 void StoreEngine::send_coherence(
-    ObjectState& o, const Address& to,
+    ObjectState& o, const std::vector<Address>& to,
     std::span<const web::RecordBatchPtr> batches) {
+  if (to.empty()) return;
+  // Each body is built once: a point-to-point send for one destination,
+  // one shared datagram for a fan-out.
+  const auto send = [&](msg::MsgType type, const auto& encode) {
+    if (to.size() == 1) {
+      comm_.send_with(to.front(), type, o.cfg.object, encode);
+    } else {
+      comm_.multicast_with(to, type, o.cfg.object, encode);
+    }
+  };
   const auto& p = o.cfg.policy;
   if (p.propagation == Propagation::kInvalidate) {
     InvalidateMsg m;
@@ -1072,8 +1040,7 @@ void StoreEngine::send_coherence(
     m.pages.assign(pages.begin(), pages.end());
     m.known_clock = o.applied_clock;
     m.known_gseq = o.applied_gseq;
-    comm_.send_with(to, msg::MsgType::kInvalidate, o.cfg.object,
-                    [&](util::Writer& w) { m.encode(w); });
+    send(msg::MsgType::kInvalidate, [&](util::Writer& w) { m.encode(w); });
     return;
   }
   switch (p.coherence_transfer) {
@@ -1081,19 +1048,16 @@ void StoreEngine::send_coherence(
       NotifyMsg m;
       m.known_clock = o.applied_clock;
       m.known_gseq = o.applied_gseq;
-      comm_.send_with(to, msg::MsgType::kNotify, o.cfg.object,
-                      [&](util::Writer& w) { m.encode(w); });
+      send(msg::MsgType::kNotify, [&](util::Writer& w) { m.encode(w); });
       return;
     }
     case CoherenceTransfer::kPartial: {
       // Splice the pre-encoded shared batches straight into the wire
       // buffer: the record payloads were serialized once, no matter how
       // many subscribers this update reaches.
-      comm_.send_with(to, msg::MsgType::kUpdate, o.cfg.object,
-                      [&](util::Writer& w) {
-                        UpdateMsg::encode_batches(w, batches, o.applied_clock,
-                                                  o.applied_gseq);
-                      });
+      send(msg::MsgType::kUpdate, [&](util::Writer& w) {
+        UpdateMsg::encode_batches(w, batches, o.applied_clock, o.applied_gseq);
+      });
       return;
     }
     case CoherenceTransfer::kFull: {
@@ -1101,8 +1065,7 @@ void StoreEngine::send_coherence(
       m.document = o.semantics.snapshot();
       m.clock = o.applied_clock;
       m.gseq = o.applied_gseq;
-      comm_.send_with(to, msg::MsgType::kSnapshot, o.cfg.object,
-                      [&](util::Writer& w) { m.encode(w); });
+      send(msg::MsgType::kSnapshot, [&](util::Writer& w) { m.encode(w); });
       return;
     }
   }
@@ -1148,7 +1111,7 @@ void StoreEngine::flush_lazy(ObjectState& o) {
       continue;
     }
     if (batches.empty() && !data_free) continue;
-    send_coherence(o, key_addr(key), batches);
+    send_coherence(o, {key_addr(key)}, batches);
   }
 }
 
@@ -1177,7 +1140,7 @@ bool StoreEngine::service_flow_events() {
           if (it != o.lazy_queues.end() && !it->second.empty()) {
             auto batches = std::move(it->second);
             o.lazy_queues.erase(it);
-            send_coherence(o, ev.peer, batches);
+            send_coherence(o, {ev.peer}, batches);
           }
         }
         break;
@@ -1513,7 +1476,8 @@ void StoreEngine::join_membership() {
   ann.shard = config_.shard;
   fill_applied(ann);
   comm_.request_with(
-      config_.membership, msg::MsgType::kMembershipJoin, membership_scope(),
+      config_.membership, msg::MsgType::kMembershipJoin,
+      config_.membership_scope,
       [&](util::Writer& w) { ann.encode(w); },
       [this](bool ok, const Address&, const msg::EnvelopeView& env) {
         if (!ok) return;  // heartbeats re-admit us once reachable
@@ -1529,12 +1493,12 @@ void StoreEngine::send_membership_heartbeat() {
   fill_applied(ann);
   comm_.send_with_background(config_.membership,
                              msg::MsgType::kMembershipHeartbeat,
-                             membership_scope(),
+                             config_.membership_scope,
                              [&](util::Writer& w) { ann.encode(w); });
 }
 
 void StoreEngine::apply_view(const membership::View& view) {
-  if (view.object != membership_scope() || view.shard != config_.shard ||
+  if (view.object != config_.membership_scope || view.shard != config_.shard ||
       view.epoch <= view_epoch_) {
     return;
   }
@@ -1589,8 +1553,7 @@ void StoreEngine::apply_view(const membership::View& view) {
 
   for (auto& [id, op] : objects_) {
     ObjectState& o = *op;
-    if (o.cfg.is_primary || o.cfg.cache_mode != CacheMode::kGlobe ||
-        !o.cfg.auto_subscribe) {
+    if (o.cfg.is_primary || o.cfg.cache_mode != CacheMode::kGlobe) {
       continue;
     }
     bool need_resubscribe = jumped;
@@ -1601,7 +1564,6 @@ void StoreEngine::apply_view(const membership::View& view) {
           membership::choose_upstream(view, address());
       if (next != nullptr) {
         o.cfg.upstream = next->address;
-        if (&o == def_) config_.upstream = next->address;
         need_resubscribe = true;
       }
     }
@@ -1615,7 +1577,7 @@ void StoreEngine::apply_view(const membership::View& view) {
 
 void StoreEngine::handle_view_delta(const msg::EnvelopeView& env) {
   const membership::ViewDelta d = membership::ViewDelta::decode(env.body);
-  if (d.object != membership_scope() || d.shard != config_.shard ||
+  if (d.object != config_.membership_scope || d.shard != config_.shard ||
       d.epoch <= view_epoch_) {
     return;
   }
@@ -1639,7 +1601,8 @@ void StoreEngine::fetch_full_view() {
   membership::ViewFetchMsg req;
   req.shard = config_.shard;
   comm_.request_with(
-      config_.membership, msg::MsgType::kViewFetchRequest, membership_scope(),
+      config_.membership, msg::MsgType::kViewFetchRequest,
+      config_.membership_scope,
       [&](util::Writer& w) { req.encode(w); },
       [this](bool ok, const Address&, const msg::EnvelopeView& env) {
         view_fetch_in_flight_ = false;
@@ -1697,8 +1660,7 @@ void StoreEngine::recover() {
   start_membership();
   for (auto& [id, op] : objects_) {
     ObjectState& o = *op;
-    if (!o.cfg.is_primary && o.cfg.cache_mode == CacheMode::kGlobe &&
-        o.cfg.auto_subscribe) {
+    if (!o.cfg.is_primary && o.cfg.cache_mode == CacheMode::kGlobe) {
       // Bootstrap through the cached-snapshot path; the ready flag is
       // still set from before the crash, so this runs as a re-subscribe
       // (forward-only snapshot merge + resync round).
@@ -1714,7 +1676,7 @@ void StoreEngine::leave() {
     membership::LeaveMsg m;
     m.address = address();
     comm_.send_with(config_.membership, msg::MsgType::kMembershipLeave,
-                    membership_scope(),
+                    config_.membership_scope,
                     [&](util::Writer& w) { m.encode(w); });
   }
   departed_ = true;
@@ -1885,7 +1847,7 @@ void StoreEngine::finish_state_adoption(ObjectState& o,
       std::vector<Address> targets;
       targets.reserve(o.subscribers.size());
       for (const Subscriber& s : o.subscribers) targets.push_back(s.address);
-      send_coherence_multi(o, targets, {});
+      send_coherence(o, targets, {});
     }
   }
   note_gaps(o);
@@ -2378,36 +2340,20 @@ void StoreEngine::handle_anti_entropy(ObjectState& o, const Address& from,
                    env.request_id, [&](util::Writer& w) { rep.encode(w); });
 }
 
-namespace {
-util::Buffer digest_from(const WriteLog& log,
-                         const web::WebDocument& doc, std::uint64_t gseq,
-                         const coherence::VectorClock& clock,
-                         bool mask_wall_clock) {
+util::Buffer store_state_digest(const StoreEngine& s, ObjectId object,
+                                bool mask_wall_clock) {
   util::Writer w;
   if (mask_wall_clock) {
-    std::vector<web::WriteRecord> records = log.retained();
+    std::vector<web::WriteRecord> records = s.write_log(object).retained();
     for (web::WriteRecord& rec : records) rec.issued_at_us = 0;
     web::encode_records(w, records);
   } else {
-    web::encode_records(w, log.retained());
+    web::encode_records(w, s.write_log(object).retained());
   }
-  w.bytes(util::BytesView(doc.encode_snapshot(mask_wall_clock)));
-  w.varint(gseq);
-  clock.encode(w);
+  w.bytes(util::BytesView(s.document(object).encode_snapshot(mask_wall_clock)));
+  w.varint(s.applied_gseq(object));
+  s.applied_clock(object).encode(w);
   return w.take();
-}
-}  // namespace
-
-util::Buffer store_state_digest(const StoreEngine& s, bool mask_wall_clock) {
-  return digest_from(s.write_log(), s.document(), s.applied_gseq(),
-                     s.applied_clock(), mask_wall_clock);
-}
-
-util::Buffer store_state_digest(const StoreEngine& s, ObjectId object,
-                                bool mask_wall_clock) {
-  return digest_from(s.write_log(object), s.document(object),
-                     s.applied_gseq(object), s.applied_clock(object),
-                     mask_wall_clock);
 }
 
 }  // namespace globe::replication

@@ -25,12 +25,13 @@
 // timer ticks visit only a dirty set of objects with pending lazy
 // records or an applied clock advanced since it was last beaconed, and
 // the clock advertisement is one beacon per subscriber peer listing only
-// the objects that changed (docs/perf.md, "Per-tick cost"). The
-// single-object constructor seeds the table with one object
-// from StoreConfig (the legacy deployment shape); sharded deployments
-// call add_object() for every object placement assigns to this store's
-// shard, and join membership under one cluster-wide scope
-// (StoreConfig::membership_scope) with their shard tag.
+// the objects that changed (docs/perf.md, "Per-tick cost"). Objects
+// enter only as ObjectConfigs: a single-object store is constructed with
+// its one object, a sharded store starts empty and add_object()s every
+// object placement assigns to its shard. StoreConfig carries only
+// store-wide settings; sharded stores join membership under one
+// cluster-wide scope (StoreConfig::membership_scope) with their shard
+// tag.
 #pragma once
 
 #include <deque>
@@ -53,6 +54,7 @@
 #include "globe/net/flow.hpp"
 #include "globe/replication/orderer.hpp"
 #include "globe/replication/protocol.hpp"
+#include "globe/replication/traffic.hpp"
 #include "globe/replication/write_log.hpp"
 #include "globe/sim/simulator.hpp"
 #include "globe/web/record_batch.hpp"
@@ -83,9 +85,9 @@ enum class CacheMode : std::uint8_t {
 }
 
 /// Per-object replication parameters: everything that may differ between
-/// two objects hosted by the same store. Store-wide knobs (transport
-/// sharing, compaction budgets, membership, flow control) live in
-/// StoreConfig.
+/// two objects hosted by the same store. ObjectConfig is the only way an
+/// object enters a store; store-wide settings (compaction budgets,
+/// membership, flow control) live in StoreConfig.
 struct ObjectConfig {
   ObjectId object = 1;
   bool is_primary = false;
@@ -93,21 +95,15 @@ struct ObjectConfig {
   ReplicationPolicy policy;
   CacheMode cache_mode = CacheMode::kGlobe;
   sim::SimDuration ttl = sim::SimDuration::seconds(60);
-  /// Subscribe to upstream at creation (Globe mode, non-primary).
-  bool auto_subscribe = true;
 };
 
+/// Store-wide settings, shared by every object the store hosts.
 struct StoreConfig {
-  ObjectId object = 1;
   StoreId store_id = 0;
   naming::StoreClass store_class = naming::StoreClass::kPermanent;
+  /// The store's contact role (naming, placement, fault injection); each
+  /// hosted object's own role is ObjectConfig::is_primary.
   bool is_primary = false;
-  Address upstream;  // propagation parent; invalid for the primary
-  ReplicationPolicy policy;
-  CacheMode cache_mode = CacheMode::kGlobe;
-  sim::SimDuration ttl = sim::SimDuration::seconds(60);
-  /// Subscribe to upstream at construction (Globe mode, non-primary).
-  bool auto_subscribe = true;
   /// Write-log compaction: when the retained log exceeds this many
   /// records, the oldest half is folded into the log's base clock and
   /// requesters behind the horizon get a snapshot cutover instead of a
@@ -124,18 +120,16 @@ struct StoreConfig {
   /// evicted subscribers, re-resolves upstreams, resyncs).
   Address membership;
   sim::SimDuration membership_heartbeat = sim::SimDuration::millis(100);
-  /// Membership scope this store joins. 0 (legacy) = the seed object's
-  /// id: per-object replica groups, one join per engine per object.
-  /// Sharded deployments set one cluster-wide scope for every store and
-  /// tag the join with `shard`; the membership service projects
-  /// per-shard subgroup views out of the single scope-wide member list,
-  /// and this engine applies the view of its own shard to every hosted
-  /// object. A multi-object engine with membership enabled must use a
-  /// cluster scope (per-object scopes would need one join per object,
-  /// defeating the single heartbeat stream).
+  /// Membership scope this store joins; must be nonzero when membership
+  /// is enabled. A single-object store names its object (a per-object
+  /// replica group). Sharded deployments set one cluster-wide scope for
+  /// every store and tag the join with `shard`; the membership service
+  /// projects per-shard subgroup views out of the single scope-wide
+  /// member list, and this engine applies the view of its own shard to
+  /// every hosted object.
   std::uint64_t membership_scope = 0;
   /// The shard this store serves; every hosted object belongs to it.
-  /// Shard 0 is the legacy single-shard deployment.
+  /// Shard 0 is the single-shard deployment.
   ShardId shard = 0;
   /// Flow-control surface of a windowed transport (net/flow.hpp); null =
   /// no transport backpressure, every peer is always writable. When set,
@@ -151,25 +145,17 @@ struct StoreConfig {
   /// Batches parked for one paused subscriber before it is dropped.
   /// 0 = unbounded.
   std::size_t flow_paused_batches_limit = 4096;
-
-  /// The per-object slice of this config (the seed object's parameters).
-  [[nodiscard]] ObjectConfig object_config() const {
-    ObjectConfig c;
-    c.object = object;
-    c.is_primary = is_primary;
-    c.upstream = upstream;
-    c.policy = policy;
-    c.cache_mode = cache_mode;
-    c.ttl = ttl;
-    c.auto_subscribe = auto_subscribe;
-    return c;
-  }
 };
 
 class StoreEngine {
  public:
+  /// Creates the store hosting `objects` (empty for a sharded store,
+  /// whose objects arrive through add_object()). The initial objects
+  /// subscribe to their upstreams before the store arms its timers and
+  /// joins membership.
   StoreEngine(const TransportFactory& factory, sim::Simulator& sim,
-              StoreConfig config, coherence::History* history = nullptr,
+              StoreConfig config, std::vector<ObjectConfig> objects,
+              coherence::History* history = nullptr,
               metrics::MetricsSink* metrics = nullptr);
   ~StoreEngine();
 
@@ -195,28 +181,17 @@ class StoreEngine {
   }
   [[nodiscard]] std::size_t object_count() const { return objects_.size(); }
   [[nodiscard]] std::vector<ObjectId> object_ids() const;
+  /// The hosted object's current parameters (its policy follows
+  /// update_policy and view-driven re-parenting moves its upstream).
+  [[nodiscard]] const ObjectConfig& object_config(ObjectId id) const;
 
-  /// Local state inspection (tests / examples). The parameterless forms
-  /// read the seed object (the legacy single-object deployments).
-  [[nodiscard]] const web::WebDocument& document() const {
-    return def_->semantics.document();
-  }
+  /// Local state inspection of one hosted object (tests / examples).
   [[nodiscard]] const web::WebDocument& document(ObjectId id) const;
-  [[nodiscard]] const coherence::VectorClock& applied_clock() const {
-    return def_->applied_clock;
-  }
   [[nodiscard]] const coherence::VectorClock& applied_clock(ObjectId id) const;
-  [[nodiscard]] std::uint64_t applied_gseq() const {
-    return def_->applied_gseq;
-  }
   [[nodiscard]] std::uint64_t applied_gseq(ObjectId id) const;
-  [[nodiscard]] bool outdated() const { return def_->outdated; }
+  [[nodiscard]] bool outdated(ObjectId id) const;
   [[nodiscard]] std::size_t parked_requests() const;
-  [[nodiscard]] std::size_t subscriber_count() const {
-    return def_->subscribers.size();
-  }
   [[nodiscard]] std::size_t subscriber_count(ObjectId id) const;
-  [[nodiscard]] bool ready() const { return def_->ready; }
   [[nodiscard]] bool ready(ObjectId id) const;
   /// Lifecycle state (fault injection / membership).
   [[nodiscard]] bool alive() const { return alive_; }
@@ -230,6 +205,7 @@ class StoreEngine {
 
   /// Seeds initial content directly (primary only; used to set up the
   /// document before clients bind, like uploading files to a Web server).
+  /// The object-less form seeds the store's only object.
   void seed(const std::string& page, const std::string& content,
             const std::string& mime = "text/html");
   void seed(ObjectId id, const std::string& page, const std::string& content,
@@ -264,14 +240,14 @@ class StoreEngine {
   /// re-parent when the view change reaches them.
   void leave();
 
-  /// Replaces the implementation parameters of the seed object's
-  /// strategy at runtime and propagates the change to every downstream
-  /// store (Section 3.2.2: standardized interfaces make strategies
+  /// Replaces the implementation parameters of object `id`'s strategy at
+  /// runtime and propagates the change to every downstream store
+  /// (Section 3.2.2: standardized interfaces make strategies
   /// dynamically replaceable; Section 5 names self-adaptive policies as
   /// future work). The coherence model itself cannot change (the orderer
   /// state is model-specific); returns false and leaves the store
   /// untouched if the new policy is invalid or alters the model.
-  bool update_policy(const core::ReplicationPolicy& policy);
+  bool update_policy(ObjectId id, const core::ReplicationPolicy& policy);
 
   /// Operation counters driving adaptive policy decisions (summed over
   /// every hosted object).
@@ -279,7 +255,6 @@ class StoreEngine {
   [[nodiscard]] std::uint64_t writes_applied() const;
 
   /// The applied-record log with its delta indexes (tests / benches).
-  [[nodiscard]] const WriteLog& write_log() const { return def_->log; }
   [[nodiscard]] const WriteLog& write_log(ObjectId id) const;
 
  private:
@@ -357,11 +332,6 @@ class StoreEngine {
   [[nodiscard]] ObjectState& obj(ObjectId id);
   [[nodiscard]] const ObjectState& obj(ObjectId id) const;
   ObjectState& create_object(const ObjectConfig& cfg);
-  /// The scope this engine's membership join/heartbeat names.
-  [[nodiscard]] std::uint64_t membership_scope() const {
-    return config_.membership_scope != 0 ? config_.membership_scope
-                                         : def_->cfg.object;
-  }
 
   // ---- message dispatch ----
   void on_message(const Address& from, const msg::EnvelopeView& env);
@@ -439,12 +409,12 @@ class StoreEngine {
 
   // ---- propagation ----
   void propagate(ObjectState& o, const std::vector<web::WriteRecord>& recs);
-  void send_coherence(ObjectState& o, const Address& to,
+  /// Sends ONE coherence message (update, snapshot, notify or
+  /// invalidate, per the policy) to `to`: a point-to-point send for one
+  /// destination, a shared-datagram multicast (body encoded once) for
+  /// several.
+  void send_coherence(ObjectState& o, const std::vector<Address>& to,
                       std::span<const web::RecordBatchPtr> batches);
-  /// Fan-out of ONE coherence message to many destinations: the body is
-  /// encoded once and the datagram shared by reference.
-  void send_coherence_multi(ObjectState& o, const std::vector<Address>& to,
-                            std::span<const web::RecordBatchPtr> batches);
   void flush_lazy(ObjectState& o);
   void flush_lazy_all();
   /// Drains config_.flow's pause/resume/evict events (no-op when flow is
@@ -580,29 +550,13 @@ class StoreEngine {
   [[nodiscard]] static std::vector<web::WriteRecord> state_as_records(
       const ObjectState& o);
 
-  class TrafficAdapter final : public core::TrafficObserver {
-   public:
-    explicit TrafficAdapter(metrics::MetricsSink* sink) : sink_(sink) {}
-    void on_send(msg::MsgType type, std::size_t bytes) override {
-      if (sink_ != nullptr) {
-        sink_->on_message(static_cast<std::uint8_t>(type), bytes);
-      }
-    }
-
-   private:
-    metrics::MetricsSink* sink_;
-  };
-
   sim::Simulator& sim_;
   StoreConfig config_;
-  TrafficAdapter traffic_;
+  MetricsTrafficAdapter traffic_;
   CommunicationObject comm_;
 
-  // The object table. `def_` is the seed object (StoreConfig::object);
-  // the parameterless accessors and the legacy single-object API read
-  // it. Entries are never removed.
+  // The object table. Entries are never removed.
   std::map<ObjectId, std::unique_ptr<ObjectState>> objects_;
-  ObjectState* def_ = nullptr;
 
   // Transport backpressure (config_.flow): subscribers whose windowed
   // channel is paused, and how many propagation rounds each has parked.
@@ -673,8 +627,7 @@ class StoreEngine {
 /// bypassing the snapshot cache), and the applied gseq/clock. The
 /// fan-out equivalence test and the bench_scale gate compare these
 /// digests to prove two propagation configurations delivered
-/// byte-identical records. The two-argument form digests the seed
-/// object.
+/// byte-identical records.
 ///
 /// `mask_wall_clock` zeroes the issue/update timestamps embedded in
 /// records and pages. Two runs that differ only in how the transport
@@ -682,9 +635,7 @@ class StoreEngine {
 /// advance simulated time differently, which shifts those stamps at the
 /// *source* — every replica still receives them byte-identically. Gates
 /// comparing across transports mask them; gates comparing propagation
-/// strategies over the same transport keep the default.
-[[nodiscard]] util::Buffer store_state_digest(const StoreEngine& s,
-                                              bool mask_wall_clock = false);
+/// strategies over the same transport do not.
 [[nodiscard]] util::Buffer store_state_digest(const StoreEngine& s,
                                               ObjectId object,
                                               bool mask_wall_clock);

@@ -184,7 +184,9 @@ core::TransportFactory Testbed::factory(NodeId node) {
   };
 }
 
-StoreEngine& Testbed::add_store_impl(StoreConfig cfg, std::string node_name) {
+StoreEngine& Testbed::add_store_impl(StoreConfig cfg,
+                                     std::vector<ObjectConfig> objects,
+                                     std::string node_name) {
   cfg.log_compact_threshold = options_.log_compact_threshold;
   cfg.log_compact_bytes = options_.log_compact_bytes;
   if (membership_ != nullptr) {
@@ -194,7 +196,7 @@ StoreEngine& Testbed::add_store_impl(StoreConfig cfg, std::string node_name) {
   cfg.flow = window_.get();  // null when not windowed
   const NodeId node = add_node(std::move(node_name));
   auto store = std::make_unique<StoreEngine>(
-      factory(node), sim_, std::move(cfg),
+      factory(node), sim_, std::move(cfg), std::move(objects),
       options_.record_history ? &history_ : nullptr, &metrics_);
   StoreEngine& ref = *store;
   stores_.push_back(std::move(store));
@@ -207,12 +209,16 @@ StoreEngine& Testbed::add_primary(ObjectId object,
   GLOBE_ASSERT_MSG(primaries_.find(object) == primaries_.end(),
                    "object already has a primary");
   StoreConfig cfg;
-  cfg.object = object;
   cfg.store_id = next_store_id_++;
   cfg.store_class = naming::StoreClass::kPermanent;
   cfg.is_primary = true;
-  cfg.policy = policy;
-  StoreEngine& ref = add_store_impl(std::move(cfg), std::move(node_name));
+  cfg.membership_scope = object;
+  ObjectConfig oc;
+  oc.object = object;
+  oc.is_primary = true;
+  oc.policy = policy;
+  StoreEngine& ref =
+      add_store_impl(std::move(cfg), {oc}, std::move(node_name));
   primaries_[object] = &ref;
   return ref;
 }
@@ -223,17 +229,18 @@ StoreEngine& Testbed::add_store(ObjectId object,
                                 net::Address upstream,
                                 std::string node_name) {
   StoreConfig cfg;
-  cfg.object = object;
   cfg.store_id = next_store_id_++;
   cfg.store_class = store_class;
-  cfg.is_primary = false;
-  cfg.upstream = upstream.valid() ? upstream : primary(object).address();
-  cfg.policy = policy;
+  cfg.membership_scope = object;
+  ObjectConfig oc;
+  oc.object = object;
+  oc.upstream = upstream.valid() ? upstream : primary(object).address();
+  oc.policy = policy;
   if (node_name.empty()) {
     node_name = std::string(naming::to_string(store_class)) + "-" +
                 std::to_string(cfg.store_id);
   }
-  return add_store_impl(std::move(cfg), std::move(node_name));
+  return add_store_impl(std::move(cfg), {oc}, std::move(node_name));
 }
 
 StoreEngine& Testbed::add_baseline_cache(ObjectId object, CacheMode mode,
@@ -243,19 +250,20 @@ StoreEngine& Testbed::add_baseline_cache(ObjectId object, CacheMode mode,
                                          std::string node_name) {
   GLOBE_ASSERT(mode != CacheMode::kGlobe);
   StoreConfig cfg;
-  cfg.object = object;
   cfg.store_id = next_store_id_++;
   cfg.store_class = naming::StoreClass::kClientInitiated;
-  cfg.is_primary = false;
-  cfg.upstream = upstream.valid() ? upstream : primary(object).address();
-  cfg.policy = policy;
-  cfg.cache_mode = mode;
-  cfg.ttl = ttl;
+  cfg.membership_scope = object;
+  ObjectConfig oc;
+  oc.object = object;
+  oc.upstream = upstream.valid() ? upstream : primary(object).address();
+  oc.policy = policy;
+  oc.cache_mode = mode;
+  oc.ttl = ttl;
   if (node_name.empty()) {
     node_name = std::string(to_string(mode)) + "-" +
                 std::to_string(cfg.store_id);
   }
-  return add_store_impl(std::move(cfg), std::move(node_name));
+  return add_store_impl(std::move(cfg), {oc}, std::move(node_name));
 }
 
 ClientBinding& Testbed::add_client(ObjectId object,
@@ -296,7 +304,7 @@ ClientBinding& Testbed::add_client_at(NodeId node, ObjectId object,
   }
   auto pit = primaries_.find(object);
   if (pit != primaries_.end()) {
-    opts.object_model = pit->second->config().policy.model;
+    opts.object_model = pit->second->object_config(object).policy.model;
     const bool single_master =
         opts.object_model != coherence::ObjectModel::kCausal &&
         opts.object_model != coherence::ObjectModel::kEventual;
@@ -326,34 +334,25 @@ StoreEngine& Testbed::add_shard_store(ShardId shard,
   GLOBE_ASSERT_MSG(placement_ != nullptr,
                    "add_shard_store needs TestbedOptions::shards");
   GLOBE_ASSERT(shard < options_.shards);
+  const bool has_primary = shard_primaries_.count(shard) != 0;
+  GLOBE_ASSERT_MSG(!primary || !has_primary, "shard already has a primary");
+  GLOBE_ASSERT_MSG(primary || has_primary, "add the shard's primary first");
   StoreConfig cfg;
-  cfg.object = kShardAnchorBase + shard;
   cfg.store_id = next_store_id_++;
   cfg.store_class = primary ? naming::StoreClass::kPermanent : store_class;
   cfg.is_primary = primary;
-  cfg.policy = policy;
   cfg.shard = shard;
   cfg.membership_scope = kShardMembershipScope;
-  if (primary) {
-    GLOBE_ASSERT_MSG(shard_primaries_.find(shard) == shard_primaries_.end(),
-                     "shard already has a primary");
-  } else {
-    GLOBE_ASSERT_MSG(shard_primaries_.find(shard) != shard_primaries_.end(),
-                     "add the shard's primary first");
-    cfg.upstream = shard_primary(shard).address();
-  }
-  const ObjectId anchor = cfg.object;
   if (node_name.empty()) {
     node_name = "shard" + std::to_string(shard) + "-" +
                 (primary ? std::string("primary")
                          : std::to_string(cfg.store_id));
   }
-  StoreEngine& ref = add_store_impl(std::move(cfg), std::move(node_name));
+  // Sharded stores start empty: place_objects() adds their objects.
+  StoreEngine& ref = add_store_impl(std::move(cfg), {}, std::move(node_name));
   shard_stores_[shard].push_back(&ref);
-  if (primary) {
-    shard_primaries_[shard] = &ref;
-    primaries_[anchor] = &ref;
-  }
+  shard_policies_[&ref] = policy;
+  if (primary) shard_primaries_[shard] = &ref;
   placement_->register_contact(shard, ref.contact());
   return ref;
 }
@@ -370,7 +369,7 @@ void Testbed::place_objects(const std::vector<ObjectId>& objects) {
     ObjectConfig oc;
     oc.object = object;
     oc.is_primary = true;
-    oc.policy = primary->config().policy;
+    oc.policy = shard_policies_.at(primary);
     primary->add_object(oc);
     primaries_[object] = primary;
     for (StoreEngine* s : sit->second) {
@@ -378,9 +377,7 @@ void Testbed::place_objects(const std::vector<ObjectId>& objects) {
       ObjectConfig sc;
       sc.object = object;
       sc.upstream = primary->address();
-      sc.policy = s->config().policy;
-      sc.cache_mode = s->config().cache_mode;
-      sc.ttl = s->config().ttl;
+      sc.policy = shard_policies_.at(s);
       s->add_object(sc);
     }
   }
@@ -438,7 +435,7 @@ bool Testbed::converged(ObjectId object) const {
   const StoreEngine* primary = pit->second;
   for (const auto& s : stores_) {
     if (!s->has_object(object)) continue;
-    if (s->config().cache_mode != CacheMode::kGlobe) continue;
+    if (s->object_config(object).cache_mode != CacheMode::kGlobe) continue;
     // Crashed and departed stores are out of the replica set; every
     // store still in it — including ones that joined or recovered mid-
     // run — must be bootstrapped and equal to the primary.
@@ -518,7 +515,7 @@ void Testbed::join_stores(std::size_t count) {
     GLOBE_ASSERT_MSG(!primaries_.empty(), "join_stores needs a primary");
     const auto& [object, primary] = *primaries_.begin();
     add_store(object, naming::StoreClass::kClientInitiated,
-              primary->config().policy);
+              primary->object_config(object).policy);
   }
 }
 

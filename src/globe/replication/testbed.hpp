@@ -73,12 +73,6 @@ struct TestbedOptions {
 /// views (StoreConfig::membership_scope).
 inline constexpr std::uint64_t kShardMembershipScope = 0xC1A5'7E21ull;
 
-/// Seed-object id of shard `s`'s stores (base + s). Every StoreEngine
-/// hosts its config object from birth; sharded stores anchor on a
-/// per-shard id far outside the workload's object range so placed
-/// objects never collide with it.
-inline constexpr ObjectId kShardAnchorBase = 0xA11C'0000ull;
-
 class Testbed {
  public:
   explicit Testbed(TestbedOptions options = {});
@@ -177,8 +171,8 @@ class Testbed {
 
   /// Places every object on its layout shard: a primary replica on the
   /// shard's primary store, secondary replicas on the shard's other
-  /// stores (subscribed to the primary). Policies are inherited from the
-  /// hosting store.
+  /// stores (subscribed to the primary). Each replica takes the policy
+  /// its store was added with.
   void place_objects(const std::vector<ObjectId>& objects);
 
   /// Binds a client that resolves every object's stores through the
@@ -292,7 +286,9 @@ class Testbed {
  private:
   void register_observability_gauges();
   void on_monitor_trip(const std::string& monitor);
-  StoreEngine& add_store_impl(StoreConfig cfg, std::string node_name);
+  StoreEngine& add_store_impl(StoreConfig cfg,
+                              std::vector<ObjectConfig> objects,
+                              std::string node_name);
   [[nodiscard]] std::vector<NodeId> side_nodes(
       const std::vector<std::size_t>& side) const;
 
@@ -312,6 +308,9 @@ class Testbed {
   std::map<ObjectId, StoreEngine*> primaries_;
   std::map<ShardId, StoreEngine*> shard_primaries_;
   std::map<ShardId, std::vector<StoreEngine*>> shard_stores_;
+  // Policy each shard store was added with; place_objects() gives it to
+  // every replica that store hosts.
+  std::map<const StoreEngine*, core::ReplicationPolicy> shard_policies_;
   std::vector<std::unique_ptr<StoreEngine>> stores_;
   std::vector<std::unique_ptr<ClientBinding>> clients_;
   StoreSpawner spawner_;

@@ -38,14 +38,14 @@ TEST(UpdatePolicy, RejectsModelChangeAndInvalidPolicies) {
 
   auto changed_model = immediate_pram();
   changed_model.model = coherence::ObjectModel::kCausal;
-  EXPECT_FALSE(primary.update_policy(changed_model));
+  EXPECT_FALSE(primary.update_policy(kObj, changed_model));
 
   auto invalid = immediate_pram();
   invalid.propagation = core::Propagation::kInvalidate;
   invalid.coherence_transfer = core::CoherenceTransfer::kNotification;
-  EXPECT_FALSE(primary.update_policy(invalid));
+  EXPECT_FALSE(primary.update_policy(kObj, invalid));
 
-  EXPECT_TRUE(primary.update_policy(immediate_pram()));  // no-op ok
+  EXPECT_TRUE(primary.update_policy(kObj, immediate_pram()));  // no-op ok
 }
 
 TEST(UpdatePolicy, SwitchToLazyChangesPropagationBehaviour) {
@@ -58,18 +58,18 @@ TEST(UpdatePolicy, SwitchToLazyChangesPropagationBehaviour) {
   auto& writer = bed.add_client(kObj, ClientModel::kNone);
   writer.write("p", "v1", [](WriteResult) {});
   bed.run_for(sim::SimDuration::millis(100));
-  EXPECT_EQ(cache.document().get("p")->content, "v1");  // immediate
+  EXPECT_EQ(cache.document(kObj).get("p")->content, "v1");  // immediate
 
   auto lazy = immediate_pram();
   lazy.instant = core::TransferInstant::kLazy;
   lazy.lazy_period = sim::SimDuration::seconds(1);
-  ASSERT_TRUE(primary.update_policy(lazy));
+  ASSERT_TRUE(primary.update_policy(kObj, lazy));
 
   writer.write("p", "v2", [](WriteResult) {});
   bed.run_for(sim::SimDuration::millis(300));
-  EXPECT_EQ(cache.document().get("p")->content, "v1");  // held back
+  EXPECT_EQ(cache.document(kObj).get("p")->content, "v1");  // held back
   bed.run_for(sim::SimDuration::seconds(2));
-  EXPECT_EQ(cache.document().get("p")->content, "v2");  // periodic flush
+  EXPECT_EQ(cache.document(kObj).get("p")->content, "v2");  // periodic flush
 }
 
 TEST(UpdatePolicy, ChangePropagatesDownstream) {
@@ -84,10 +84,12 @@ TEST(UpdatePolicy, ChangePropagatesDownstream) {
 
   auto lazy = immediate_pram();
   lazy.instant = core::TransferInstant::kLazy;
-  ASSERT_TRUE(primary.update_policy(lazy));
+  ASSERT_TRUE(primary.update_policy(kObj, lazy));
   bed.settle();
-  EXPECT_EQ(mirror.config().policy.instant, core::TransferInstant::kLazy);
-  EXPECT_EQ(cache.config().policy.instant, core::TransferInstant::kLazy);
+  EXPECT_EQ(mirror.object_config(kObj).policy.instant,
+            core::TransferInstant::kLazy);
+  EXPECT_EQ(cache.object_config(kObj).policy.instant,
+            core::TransferInstant::kLazy);
 }
 
 TEST(UpdatePolicy, SwitchFlushesPendingLazyUpdates) {
@@ -104,11 +106,11 @@ TEST(UpdatePolicy, SwitchFlushesPendingLazyUpdates) {
   auto& writer = bed.add_client(kObj, ClientModel::kNone);
   writer.write("p", "queued", [](WriteResult) {});
   bed.run_for(sim::SimDuration::millis(200));
-  EXPECT_FALSE(cache.document().has("p"));  // parked in the lazy queue
+  EXPECT_FALSE(cache.document(kObj).has("p"));  // parked in the lazy queue
 
-  ASSERT_TRUE(primary.update_policy(immediate_pram()));
+  ASSERT_TRUE(primary.update_policy(kObj, immediate_pram()));
   bed.run_for(sim::SimDuration::millis(200));
-  EXPECT_EQ(cache.document().get("p")->content, "queued");  // flushed
+  EXPECT_EQ(cache.document(kObj).get("p")->content, "queued");  // flushed
 }
 
 TEST(UpdatePolicy, CoherenceHoldsAcrossSwitch) {
@@ -127,12 +129,12 @@ TEST(UpdatePolicy, CoherenceHoldsAcrossSwitch) {
   auto lazy = immediate_pram();
   lazy.instant = core::TransferInstant::kLazy;
   lazy.lazy_period = sim::SimDuration::millis(300);
-  ASSERT_TRUE(primary.update_policy(lazy));
+  ASSERT_TRUE(primary.update_policy(kObj, lazy));
   for (int i = 1; i <= 5; ++i) {
     writer.write("p", "b" + std::to_string(i), [](WriteResult) {});
   }
   bed.run_for(sim::SimDuration::seconds(1));
-  ASSERT_TRUE(primary.update_policy(immediate_pram()));
+  ASSERT_TRUE(primary.update_policy(kObj, immediate_pram()));
   for (int i = 1; i <= 5; ++i) {
     writer.write("p", "c" + std::to_string(i), [](WriteResult) {});
   }
@@ -155,7 +157,7 @@ TEST(Adaptive, SwitchesToLazyUnderWriteBurstAndBack) {
   opts.interval = sim::SimDuration::seconds(1);
   opts.lazy_above_writes_per_s = 5.0;
   opts.immediate_below_writes_per_s = 1.0;
-  AdaptiveController controller(bed.sim(), primary, opts);
+  AdaptiveController controller(bed.sim(), primary, kObj, opts);
   std::vector<core::TransferInstant> decisions;
   controller.on_switch = [&](core::TransferInstant t) {
     decisions.push_back(t);
@@ -189,7 +191,7 @@ TEST(Adaptive, QuietObjectNeverSwitches) {
   Testbed bed;
   auto& primary = bed.add_primary(kObj, immediate_pram());
   bed.settle();
-  AdaptiveController controller(bed.sim(), primary);
+  AdaptiveController controller(bed.sim(), primary, kObj);
   controller.start();
   bed.run_for(sim::SimDuration::seconds(10));
   controller.stop();
@@ -212,7 +214,7 @@ TEST(Adaptive, CounterRegressionDoesNotForceSpuriousLazySwitch) {
   AdaptiveOptions opts;
   opts.interval = sim::SimDuration::seconds(1);
   opts.writes_probe = [&counter] { return counter; };
-  AdaptiveController controller(bed.sim(), primary, opts);
+  AdaptiveController controller(bed.sim(), primary, kObj, opts);
   controller.start();
 
   counter = 2;  // below the lazy threshold (4 writes/s)

@@ -83,7 +83,7 @@ TEST(ByteBudgetCompaction, EngineCompactsOnBytesAndCountsCutovers) {
                  payload + std::to_string(i));
     bed.run_for(sim::SimDuration::millis(5));
   }
-  EXPECT_LE(primary.write_log().retained_bytes(), opts.log_compact_bytes);
+  EXPECT_LE(primary.write_log(kObj).retained_bytes(), opts.log_compact_bytes);
   EXPECT_GT(bed.metrics().log_compactions(), 0u);
   ASSERT_EQ(bed.metrics().snapshot_cutovers(), 0u);
 

@@ -46,8 +46,8 @@ TEST(CompactionCutover, LateJoinerCatchesUpViaFetchSnapshot) {
                  "v" + std::to_string(i));
   }
   bed.settle();
-  ASSERT_LT(primary.write_log().size(), 300u);  // compaction happened
-  ASSERT_FALSE(primary.write_log().base_clock().empty());
+  ASSERT_LT(primary.write_log(1).size(), 300u);  // compaction happened
+  ASSERT_FALSE(primary.write_log(1).base_clock().empty());
 
   // Joins with an empty clock, far behind the horizon: only a snapshot
   // cutover can serve it.
@@ -68,7 +68,7 @@ TEST(CompactionCutover, AntiEntropyReplyCutsOverForBehindRequester) {
                  "w" + std::to_string(i));
   }
   bed.settle();
-  ASSERT_FALSE(primary.write_log().base_clock().empty());
+  ASSERT_FALSE(primary.write_log(1).base_clock().empty());
 
   bed.add_store(1, naming::StoreClass::kObjectInitiated, policy);
   bed.settle();
@@ -109,8 +109,8 @@ TEST(CompactionCutover, AntiEntropyPushBackCutsOverForBehindResponder) {
   EXPECT_GT(acked, 0);
   // The child's log compacted and the parent fell behind the horizon:
   // from here, no delta can repair it.
-  ASSERT_FALSE(child.write_log().base_clock().empty());
-  ASSERT_FALSE(child.write_log().can_serve(primary.applied_clock(), 0));
+  ASSERT_FALSE(child.write_log(1).base_clock().empty());
+  ASSERT_FALSE(child.write_log(1).can_serve(primary.applied_clock(1), 0));
 
   // Heal the gossip link; the next rounds must repair via the push-back
   // snapshot cutover.
@@ -121,7 +121,7 @@ TEST(CompactionCutover, AntiEntropyPushBackCutsOverForBehindResponder) {
   bed.run_for(sim::SimDuration::seconds(2));
   bed.settle();
   EXPECT_TRUE(bed.converged(1));
-  EXPECT_EQ(primary.document(), child.document());
+  EXPECT_EQ(primary.document(1), child.document(1));
 }
 
 TEST(CompactionCutover, MutualHorizonStalemateStillConverges) {
@@ -152,14 +152,14 @@ TEST(CompactionCutover, MutualHorizonStalemateStillConverges) {
     bed.run_for(sim::SimDuration::millis(5));
   }
   // Both sides compacted records the other never saw: mutual horizon.
-  ASSERT_FALSE(primary.write_log().can_serve(child.applied_clock(), 0));
-  ASSERT_FALSE(child.write_log().can_serve(primary.applied_clock(), 0));
+  ASSERT_FALSE(primary.write_log(1).can_serve(child.applied_clock(1), 0));
+  ASSERT_FALSE(child.write_log(1).can_serve(primary.applied_clock(1), 0));
 
   bed.net().heal_all();
   bed.run_for(sim::SimDuration::seconds(2));
   bed.settle();
   EXPECT_TRUE(bed.converged(1));
-  EXPECT_EQ(primary.document(), child.document());
+  EXPECT_EQ(primary.document(1), child.document(1));
 }
 
 }  // namespace

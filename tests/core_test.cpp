@@ -158,7 +158,11 @@ TEST_F(CommTest, LateReplyAfterTimeoutIsIgnored) {
 }
 
 TEST_F(CommTest, MulticastReachesAllTargets) {
-  CommunicationObject sender(factory(node_a), &sim);
+  struct Observer : TrafficObserver {
+    int messages = 0;
+    void on_send(msg::MsgType, std::size_t) override { ++messages; }
+  } obs;
+  CommunicationObject sender(factory(node_a), &sim, &obs);
   int received = 0;
   std::vector<std::unique_ptr<CommunicationObject>> receivers;
   std::vector<net::Address> targets;
@@ -169,8 +173,11 @@ TEST_F(CommTest, MulticastReachesAllTargets) {
     targets.push_back(r->local_address());
     receivers.push_back(std::move(r));
   }
-  sender.multicast(targets, msg::MsgType::kUpdate, 1,
-                   util::to_buffer("fanout"));
+  sender.multicast_with(targets, msg::MsgType::kUpdate, 1,
+                        [](util::Writer& w) { w.str("fanout"); });
+  // One shared datagram, but traffic accounting counts one message per
+  // destination.
+  EXPECT_EQ(obs.messages, 4);
   sim.run();
   EXPECT_EQ(received, 4);
 }

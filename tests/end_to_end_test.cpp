@@ -71,8 +71,8 @@ TEST_P(LossyPropagation, DemandReactionRecoversLostUpdates) {
 
   // Reliability as a side effect: the cache holds the latest version and
   // PRAM order was never violated despite dropped pushes.
-  ASSERT_TRUE(cache.document().has("p"));
-  EXPECT_EQ(cache.document().get("p")->content, "v40");
+  ASSERT_TRUE(cache.document(kObj).has("p"));
+  EXPECT_EQ(cache.document(kObj).get("p")->content, "v40");
   const auto res = coherence::check_object_model(
       bed.history(), coherence::ObjectModel::kPram);
   EXPECT_TRUE(res.ok) << res.summary();
@@ -110,10 +110,11 @@ TEST_P(LossyPropagation, WaitReactionStaysStaleUnderLoss) {
   // With ~20%+ loss over 40 writes, at least one update was dropped with
   // overwhelming probability; the cache then buffered at a gap forever.
   if (param.drop_rate >= 0.2) {
-    EXPECT_NE(cache.document().has("p") ? cache.document().get("p")->content
-                                        : std::string{},
+    EXPECT_NE(cache.document(kObj).has("p")
+                  ? cache.document(kObj).get("p")->content
+                  : std::string{},
               "v40");
-    EXPECT_TRUE(cache.outdated());
+    EXPECT_TRUE(cache.outdated(kObj));
   }
   // PRAM order must hold regardless (gaps block, never reorder).
   EXPECT_TRUE(coherence::check_object_model(
@@ -147,7 +148,7 @@ TEST(Partition, HealedPartitionCatchesUpViaDemand) {
     writer.write("p", "v" + std::to_string(i), [](WriteResult) {});
   }
   bed.run_for(sim::SimDuration::seconds(1));
-  EXPECT_EQ(cache.document().get("p")->content, "v0");  // cut off
+  EXPECT_EQ(cache.document(kObj).get("p")->content, "v0");  // cut off
 
   bed.net().heal_all();
   // The next write's push reaches the cache, which detects the gap and
@@ -155,7 +156,7 @@ TEST(Partition, HealedPartitionCatchesUpViaDemand) {
   writer.write("p", "v6", [](WriteResult) {});
   bed.run_for(sim::SimDuration::seconds(5));
   bed.settle();
-  EXPECT_EQ(cache.document().get("p")->content, "v6");
+  EXPECT_EQ(cache.document(kObj).get("p")->content, "v6");
   EXPECT_TRUE(coherence::check_object_model(
       bed.history(), coherence::ObjectModel::kPram).ok);
 }
@@ -187,8 +188,8 @@ TEST(Partition, EventualAntiEntropyHealsDivergence) {
   bed.run_for(sim::SimDuration::seconds(3));
   bed.settle();
   EXPECT_TRUE(bed.converged(kObj));
-  EXPECT_TRUE(server.document().has("left"));
-  EXPECT_TRUE(server.document().has("right"));
+  EXPECT_TRUE(server.document(kObj).has("left"));
+  EXPECT_TRUE(server.document(kObj).has("right"));
 }
 
 TEST(Timeouts, ClientRequestTimesOutAcrossPartitionAndRetries) {

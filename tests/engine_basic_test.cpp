@@ -119,7 +119,7 @@ TEST(EngineBasic, WriteViaCacheForwardsToPrimary) {
   ASSERT_TRUE(wrote.has_value());
   EXPECT_TRUE(wrote->ok);
   EXPECT_EQ(wrote->store, primary.id());  // accepted at the primary
-  EXPECT_EQ(primary.document().get("p")->content, "forwarded");
+  EXPECT_EQ(primary.document(kObj).get("p")->content, "forwarded");
   EXPECT_TRUE(bed.converged(kObj));
 }
 
@@ -134,8 +134,8 @@ TEST(EngineBasic, DeletePropagates) {
   auto& client = bed.add_client(kObj, ClientModel::kNone);
   client.remove("p", [](WriteResult) {});
   bed.settle();
-  EXPECT_FALSE(primary.document().has("p"));
-  EXPECT_FALSE(cache.document().has("p"));
+  EXPECT_FALSE(primary.document(kObj).has("p"));
+  EXPECT_FALSE(cache.document(kObj).has("p"));
   EXPECT_TRUE(bed.converged(kObj));
 }
 
@@ -190,8 +190,8 @@ TEST(EngineBasic, MirrorChainPropagates) {
   auto& writer = bed.add_client(kObj, ClientModel::kNone);
   writer.write("p", "chained", [](WriteResult) {});
   bed.settle();
-  EXPECT_EQ(mirror.document().get("p")->content, "chained");
-  EXPECT_EQ(cache.document().get("p")->content, "chained");
+  EXPECT_EQ(mirror.document(kObj).get("p")->content, "chained");
+  EXPECT_EQ(cache.document(kObj).get("p")->content, "chained");
 }
 
 TEST(EngineBasic, IncrementalWritesArriveInOrder) {
@@ -206,7 +206,7 @@ TEST(EngineBasic, IncrementalWritesArriveInOrder) {
     writer.write("page", "v" + std::to_string(i), [](WriteResult) {});
   }
   bed.settle();
-  EXPECT_EQ(cache.document().get("page")->content, "v20");
+  EXPECT_EQ(cache.document(kObj).get("page")->content, "v20");
   auto check = coherence::check_object_model(
       bed.history(), coherence::ObjectModel::kPram);
   EXPECT_TRUE(check.ok) << check.summary();

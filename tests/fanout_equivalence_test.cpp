@@ -37,7 +37,9 @@ void expect_pinned(Scenario scenario, const Pins& pins) {
   EXPECT_TRUE(bed.converged(kObj));
   ASSERT_EQ(bed.stores().size(), pins.size());
   for (std::size_t i = 0; i < pins.size(); ++i) {
-    EXPECT_EQ(util::fnv1a64(store_state_digest(*bed.stores()[i])), pins[i])
+    EXPECT_EQ(util::fnv1a64(store_state_digest(*bed.stores()[i], kObj,
+                                               /*mask_wall_clock=*/false)),
+              pins[i])
         << "store " << i;
   }
 }

@@ -382,7 +382,7 @@ TEST(TimerPeriods, UpdatePolicyRebuildsTheLazyTick) {
   bed.settle();
 
   // Immediate -> lazy arms a lazy timer.
-  ASSERT_TRUE(primary.update_policy(lazy(sim::SimDuration::millis(100))));
+  ASSERT_TRUE(primary.update_policy(1, lazy(sim::SimDuration::millis(100))));
   bed.run_for(sim::SimDuration::millis(100));
   primary.seed("p", "v1");
   bed.run_for(sim::SimDuration::millis(400));
@@ -390,7 +390,7 @@ TEST(TimerPeriods, UpdatePolicyRebuildsTheLazyTick) {
 
   // A longer period lengthens the tick again (a full rebuild, unlike
   // add_object, which only ever shortens).
-  ASSERT_TRUE(primary.update_policy(lazy(sim::SimDuration::seconds(2))));
+  ASSERT_TRUE(primary.update_policy(1, lazy(sim::SimDuration::seconds(2))));
   bed.run_for(sim::SimDuration::millis(100));
   primary.seed("p", "v2");
   bed.run_for(sim::SimDuration::millis(400));

@@ -101,7 +101,7 @@ TEST(MembershipTest, HeartbeatTimeoutEvictsCrashedStore) {
   bed.publish(kObj, "object");
   bed.settle();
   bed.run_for(sim::SimDuration::millis(100));
-  ASSERT_EQ(primary.subscriber_count(), 1u);
+  ASSERT_EQ(primary.subscriber_count(kObj), 1u);
 
   bed.crash_store(1);
   bed.run_for(sim::SimDuration::millis(600));  // > failure_timeout
@@ -112,7 +112,7 @@ TEST(MembershipTest, HeartbeatTimeoutEvictsCrashedStore) {
   EXPECT_FALSE(naming_has(bed, cache.address()));
   // The primary saw the view change and dropped the evicted subscriber:
   // fan-out stops flowing to it.
-  EXPECT_EQ(primary.subscriber_count(), 0u);
+  EXPECT_EQ(primary.subscriber_count(kObj), 0u);
 }
 
 TEST(MembershipTest, RecoveredStoreRejoinsAndCatchesUp) {
@@ -130,7 +130,7 @@ TEST(MembershipTest, RecoveredStoreRejoinsAndCatchesUp) {
   primary.seed("a.html", "v2");               // progress while down
   primary.seed("b.html", "v1");
   bed.run_for(sim::SimDuration::millis(100));
-  EXPECT_FALSE(cache.document() == primary.document());
+  EXPECT_FALSE(cache.document(kObj) == primary.document(kObj));
 
   bed.recover_store(1);
   bed.run_for(sim::SimDuration::millis(600));
@@ -139,7 +139,7 @@ TEST(MembershipTest, RecoveredStoreRejoinsAndCatchesUp) {
   EXPECT_TRUE(cache.alive());
   EXPECT_GE(cache.resubscribes(), 1u);
   EXPECT_TRUE(bed.membership().current_view(kObj).contains(cache.address()));
-  EXPECT_TRUE(cache.document() == primary.document());
+  EXPECT_TRUE(cache.document(kObj) == primary.document(kObj));
   EXPECT_TRUE(naming_has(bed, cache.address()));
 }
 
@@ -155,18 +155,18 @@ TEST(MembershipTest, UpstreamCrashReparentsDownstreamStore) {
                               policy, mirror.address());
   bed.settle();
   bed.run_for(sim::SimDuration::millis(100));
-  ASSERT_EQ(cache.config().upstream, mirror.address());
+  ASSERT_EQ(cache.object_config(kObj).upstream, mirror.address());
 
   bed.crash_store(1);  // the mirror
   bed.run_for(sim::SimDuration::millis(800));
 
   // The cache re-resolved its propagation parent onto the primary and
   // keeps receiving updates.
-  EXPECT_EQ(cache.config().upstream, primary.address());
+  EXPECT_EQ(cache.object_config(kObj).upstream, primary.address());
   primary.seed("a.html", "v2");
   bed.run_for(sim::SimDuration::millis(200));
   bed.settle();
-  EXPECT_TRUE(cache.document() == primary.document());
+  EXPECT_TRUE(cache.document(kObj) == primary.document(kObj));
 }
 
 TEST(MembershipTest, ClientRebindsWhenItsStoreIsEvicted) {
@@ -214,7 +214,7 @@ TEST(MembershipTest, FlashCrowdJoinersBootstrapFromSnapshots) {
   ASSERT_EQ(bed.stores().size(), 5u);
   EXPECT_TRUE(bed.converged(kObj));
   EXPECT_EQ(bed.membership().current_view(kObj).members.size(), 5u);
-  for (const auto& s : bed.stores()) EXPECT_TRUE(s->ready());
+  for (const auto& s : bed.stores()) EXPECT_TRUE(s->ready(kObj));
 }
 
 }  // namespace

@@ -55,8 +55,8 @@ TEST(SequentialModel, ConcurrentWritersGetOneTotalOrder) {
       bed.history(), ObjectModel::kSequential);
   EXPECT_TRUE(res.ok) << res.summary();
   // Both replicas hold the same final write.
-  EXPECT_EQ(s1.document().get("board")->last_writer,
-            s2.document().get("board")->last_writer);
+  EXPECT_EQ(s1.document(kObj).get("board")->last_writer,
+            s2.document(kObj).get("board")->last_writer);
 }
 
 TEST(SequentialModel, WriteAcksCarryGlobalSeq) {
@@ -139,7 +139,7 @@ TEST(PramModel, IncrementalRecordThenFieldUpdate) {
   writer.write("record-17", "title=Globe", [](WriteResult) {});
   writer.write("record-17", "title=Globe; year=1998", [](WriteResult) {});
   bed.settle();
-  EXPECT_EQ(cache.document().get("record-17")->content,
+  EXPECT_EQ(cache.document(kObj).get("record-17")->content,
             "title=Globe; year=1998");
   EXPECT_TRUE(coherence::check_object_model(
       bed.history(), ObjectModel::kPram).ok);
@@ -157,8 +157,8 @@ TEST(FifoModel, SupersededWritesSkipped) {
     writer.write("p", "v" + std::to_string(i), [](WriteResult) {});
   }
   bed.settle();
-  EXPECT_EQ(primary.document().get("p")->content, "v10");
-  EXPECT_EQ(cache.document().get("p")->content, "v10");
+  EXPECT_EQ(primary.document(kObj).get("p")->content, "v10");
+  EXPECT_EQ(cache.document(kObj).get("p")->content, "v10");
   const auto res = coherence::check_object_model(
       bed.history(), ObjectModel::kFifoPram);
   EXPECT_TRUE(res.ok) << res.summary();
@@ -200,8 +200,8 @@ TEST(CausalModel, ReactionNeverPrecedesArticle) {
   EXPECT_TRUE(res.ok) << res.summary();
   // Every store that has the reply also has the article.
   for (const auto& s : bed.stores()) {
-    if (s->document().has("reply-1")) {
-      EXPECT_TRUE(s->document().has("article"));
+    if (s->document(kObj).has("reply-1")) {
+      EXPECT_TRUE(s->document(kObj).has("article"));
     }
   }
 }
@@ -225,8 +225,8 @@ TEST(CausalModel, ConcurrentWritesBothSurvive) {
 
   EXPECT_TRUE(bed.converged(kObj));
   for (const auto& s : bed.stores()) {
-    EXPECT_TRUE(s->document().has("page-a"));
-    EXPECT_TRUE(s->document().has("page-b"));
+    EXPECT_TRUE(s->document(kObj).has("page-a"));
+    EXPECT_TRUE(s->document(kObj).has("page-b"));
   }
   EXPECT_TRUE(coherence::check_object_model(
       bed.history(), ObjectModel::kCausal).ok);
@@ -288,8 +288,8 @@ TEST(EventualModel, ConflictingWritesConvergeViaLww) {
   EXPECT_TRUE(bed.converged(kObj));
   EXPECT_TRUE(coherence::check_object_model(
       bed.history(), ObjectModel::kEventual).ok);
-  const std::string final_content = s1.document().get("p")->content;
-  EXPECT_EQ(s2.document().get("p")->content, final_content);
+  const std::string final_content = s1.document(kObj).get("p")->content;
+  EXPECT_EQ(s2.document(kObj).get("p")->content, final_content);
 }
 
 TEST(EventualModel, LazyPropagationConvergesAfterPeriod) {
@@ -307,9 +307,9 @@ TEST(EventualModel, LazyPropagationConvergesAfterPeriod) {
   c.write("p", "lazy", [](WriteResult) {});
   // Before the period elapses the primary does not have the write yet.
   bed.run_for(sim::SimDuration::millis(100));
-  EXPECT_FALSE(primary.document().has("p"));
+  EXPECT_FALSE(primary.document(kObj).has("p"));
   bed.run_for(sim::SimDuration::millis(300));
-  EXPECT_TRUE(primary.document().has("p"));
+  EXPECT_TRUE(primary.document(kObj).has("p"));
   bed.settle();
   EXPECT_TRUE(bed.converged(kObj));
 }

@@ -144,8 +144,8 @@ TEST_P(PartitionMatrix, PartitionWritesBothSidesHealConverges) {
   // primary.
   EXPECT_TRUE(bed.converged(kObj))
       << "model=" << coherence::to_string(param.model);
-  EXPECT_TRUE(cache_b.document() == primary.document());
-  EXPECT_TRUE(mirror_b.document() == primary.document());
+  EXPECT_TRUE(cache_b.document(kObj) == primary.document(kObj));
+  EXPECT_TRUE(mirror_b.document(kObj) == primary.document(kObj));
 
   // (b) Clean verdicts from the checkers.
   const auto object_verdict =

@@ -65,7 +65,7 @@ TEST(PropagationParam, InvalidateMarksStaleAndFetchesOnRead) {
   writer.write("p", "v1", [](WriteResult) {});
   bed.settle();
   // The cache did NOT receive the data, only the invalidation.
-  EXPECT_EQ(cache.document().get("p")->content, "v0");
+  EXPECT_EQ(cache.document(kObj).get("p")->content, "v0");
 
   auto& reader = bed.add_client(kObj, ClientModel::kNone, cache.address());
   std::optional<ReadResult> read;
@@ -90,7 +90,7 @@ TEST(PropagationParam, InvalidateWithDemandReactionPrefetches) {
   writer.write("p", "v1", [](WriteResult) {});
   bed.settle();
   // Demand reaction: the cache refreshed itself without any read.
-  EXPECT_EQ(cache.document().get("p")->content, "v1");
+  EXPECT_EQ(cache.document(kObj).get("p")->content, "v1");
 }
 
 // ---- Transfer initiative: push vs pull -------------------------------
@@ -110,9 +110,9 @@ TEST(InitiativeParam, PullPollsOnPeriod) {
   auto& writer = bed.add_client(kObj, ClientModel::kNone);
   writer.write("p", "v1", [](WriteResult) {});
   bed.run_for(sim::SimDuration::millis(150));
-  EXPECT_EQ(cache.document().get("p")->content, "v0");  // not yet polled
+  EXPECT_EQ(cache.document(kObj).get("p")->content, "v0");  // not yet polled
   bed.run_for(sim::SimDuration::millis(400));
-  EXPECT_EQ(cache.document().get("p")->content, "v1");  // poll fetched it
+  EXPECT_EQ(cache.document(kObj).get("p")->content, "v1");  // poll fetched it
 }
 
 TEST(InitiativeParam, PushDeliversWithoutPolling) {
@@ -125,7 +125,7 @@ TEST(InitiativeParam, PushDeliversWithoutPolling) {
   auto& writer = bed.add_client(kObj, ClientModel::kNone);
   writer.write("p", "v1", [](WriteResult) {});
   bed.run_for(sim::SimDuration::millis(100));
-  EXPECT_EQ(cache.document().get("p")->content, "v1");
+  EXPECT_EQ(cache.document(kObj).get("p")->content, "v1");
 }
 
 // ---- Transfer instant: immediate vs lazy (aggregation) ---------------
@@ -195,7 +195,7 @@ TEST(CoherenceTransferParam, NotificationOnlySignalsAndDemandFetches) {
   writer.write("p", "v1", [](WriteResult) {});
   bed.settle();
   // Notify -> demand -> fetch brought the data.
-  EXPECT_EQ(cache.document().get("p")->content, "v1");
+  EXPECT_EQ(cache.document(kObj).get("p")->content, "v1");
   const auto& by_type = bed.metrics().traffic_by_type();
   EXPECT_TRUE(
       by_type.count(static_cast<std::uint8_t>(msg::MsgType::kNotify)) > 0);
@@ -218,8 +218,9 @@ TEST(CoherenceTransferParam, NotificationWithWaitLeavesReplicaStale) {
   auto& writer = bed.add_client(kObj, ClientModel::kNone);
   writer.write("p", "v1", [](WriteResult) {});
   bed.run_for(sim::SimDuration::seconds(1));
-  EXPECT_EQ(cache.document().get("p")->content, "v0");  // knows it's stale...
-  EXPECT_TRUE(cache.outdated());                        // ...and flags it
+  // Knows it's stale, and flags it.
+  EXPECT_EQ(cache.document(kObj).get("p")->content, "v0");
+  EXPECT_TRUE(cache.outdated(kObj));
 }
 
 TEST(CoherenceTransferParam, FullTransferShipsWholeDocument) {
@@ -241,7 +242,7 @@ TEST(CoherenceTransferParam, FullTransferShipsWholeDocument) {
     auto& writer = bed.add_client(kObj, ClientModel::kNone);
     writer.write("page0", "tiny", [](WriteResult) {});
     bed.settle();
-    EXPECT_EQ(cache.document().get("page0")->content, "tiny");
+    EXPECT_EQ(cache.document(kObj).get("page0")->content, "tiny");
     return bed.metrics().total_traffic().bytes;
   };
 
@@ -290,7 +291,7 @@ TEST(StoreScopeParam, PermanentOnlyScopeStillDeliversToCaches) {
   auto& writer = bed.add_client(kObj, ClientModel::kNone);
   writer.write("p", "v1", [](WriteResult) {});
   bed.settle();
-  EXPECT_EQ(cache.document().get("p")->content, "v1");
+  EXPECT_EQ(cache.document(kObj).get("p")->content, "v1");
 }
 
 // ---- Write forwarding through a chain ---------------------------------
@@ -315,7 +316,7 @@ TEST(WriteSetParam, SingleWriterForwardedThroughMirrorChain) {
   ASSERT_TRUE(wrote.has_value());
   EXPECT_TRUE(wrote->ok);
   EXPECT_EQ(wrote->store, primary.id());
-  EXPECT_EQ(cache.document().get("p")->content, "hops");
+  EXPECT_EQ(cache.document(kObj).get("p")->content, "hops");
 }
 
 }  // namespace

@@ -153,7 +153,7 @@ TEST(MonotonicReads, StoreSwitchCannotGoBackInTime) {
   // Heal the network (so the demand-update can succeed) and switch the
   // reader to the cache that never saw day-1.
   bed.net().heal_all();
-  EXPECT_EQ(stale.document().get("news")->content, "day-0");
+  EXPECT_EQ(stale.document(kObj).get("news")->content, "day-0");
   reader.switch_read_store(stale.address());
   std::optional<ReadResult> r2;
   reader.read("news", [&](ReadResult r) { r2 = std::move(r); });

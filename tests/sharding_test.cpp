@@ -62,6 +62,37 @@ TEST(ShardingTest, PlacedObjectsConvergePerShard) {
   }
 }
 
+TEST(ShardingTest, ShardStoresHostOnlyPlacedObjects) {
+  TestbedOptions opts;
+  opts.shards = 2;
+  Testbed bed(opts);
+  const auto policy = pram_push();
+  for (ShardId s = 0; s < 2; ++s) {
+    bed.add_shard_store(s, naming::StoreClass::kPermanent, policy,
+                        /*primary=*/true);
+    bed.add_shard_store(s, naming::StoreClass::kObjectInitiated, policy);
+  }
+  // A shard store starts empty: placement is the only way in.
+  for (const auto& store : bed.stores()) {
+    EXPECT_EQ(store->object_count(), 0u);
+  }
+  const auto ids = objects_1_to(12);
+  bed.place_objects(ids);
+
+  std::map<ShardId, std::vector<ObjectId>> placed;
+  for (const ObjectId id : ids) {
+    placed[bed.placement().layout().shard_of(id)].push_back(id);
+  }
+  for (const auto& store : bed.stores()) {
+    EXPECT_EQ(store->object_ids(), placed[store->shard()])
+        << "store " << store->id();
+  }
+  bed.settle();
+  for (const ObjectId id : ids) {
+    EXPECT_TRUE(bed.converged(id)) << id;
+  }
+}
+
 TEST(ShardingTest, PlacedClientOperatesAcrossShards) {
   TestbedOptions opts;
   opts.shards = 2;

@@ -156,8 +156,8 @@ TEST(SnapshotCache, ConcurrentSubscriberCutovers) {
     primary.seed("page" + std::to_string(i % 9) + ".html",
                  "v" + std::to_string(i));
   }
-  EXPECT_EQ(*primary.document().snapshot(),
-            primary.document().encode_snapshot());
+  EXPECT_EQ(*primary.document(kObj).snapshot(),
+            primary.document(kObj).encode_snapshot());
 
   // 12 subscribers join simultaneously, all behind the horizon.
   for (int s = 0; s < 12; ++s) {
@@ -176,10 +176,11 @@ TEST(SnapshotCache, ConcurrentSubscriberCutovers) {
   }
   bed.settle();
   EXPECT_TRUE(bed.converged(kObj));
-  EXPECT_EQ(*primary.document().snapshot(),
-            primary.document().encode_snapshot());
+  EXPECT_EQ(*primary.document(kObj).snapshot(),
+            primary.document(kObj).encode_snapshot());
   for (const auto& s : bed.stores()) {
-    EXPECT_EQ(*s->document().snapshot(), s->document().encode_snapshot());
+    EXPECT_EQ(*s->document(kObj).snapshot(),
+              s->document(kObj).encode_snapshot());
   }
 }
 

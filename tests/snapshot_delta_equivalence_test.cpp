@@ -39,7 +39,7 @@ core::ReplicationPolicy pull_policy(coherence::ObjectModel model) {
 std::vector<std::uint64_t> doc_digests(const Testbed& bed) {
   std::vector<std::uint64_t> out;
   for (const auto& s : bed.stores()) {
-    out.push_back(util::fnv1a64(s->document().encode_snapshot()));
+    out.push_back(util::fnv1a64(s->document(kObj).encode_snapshot()));
   }
   return out;
 }
@@ -121,7 +121,7 @@ TEST(DeltaSnapshotEquivalence, CompactionCutoverGoesThroughDeltaPath) {
                  "v" + std::to_string(i));
   }
   ASSERT_FALSE(
-      primary.write_log().can_serve(puller.applied_clock(), 0, true));
+      primary.write_log(kObj).can_serve(puller.applied_clock(kObj), 0, true));
   const std::uint64_t deltas_before = bed.metrics().delta_snapshots();
 
   bed.net().heal_all();
@@ -176,7 +176,7 @@ TEST(DeltaSnapshotEquivalence, FloorFallsBackToFullAcrossLineages) {
   SnapshotDeltaRequest good;
   good.mode = SnapshotDeltaRequest::Mode::kFloor;
   good.floor_source = primary.config().store_id;
-  good.floor_version = primary.document().version();
+  good.floor_version = primary.document(kObj).version();
   ask(good);
   EXPECT_TRUE(res.got);
   EXPECT_FALSE(res.full);
@@ -222,14 +222,14 @@ TEST(DeltaSnapshotEquivalence, ClientDocumentFetchUsesDeltas) {
 
   grab();
   EXPECT_EQ(fetched, 1);
-  EXPECT_EQ(got, primary.document());
+  EXPECT_EQ(got, primary.document(kObj));
   const std::uint64_t deltas_after_first = bed.metrics().delta_snapshots();
 
   // Unchanged document: the floor fetch ships zero pages.
   const std::uint64_t shipped_before = bed.metrics().snapshot_pages_shipped();
   grab();
   EXPECT_EQ(fetched, 2);
-  EXPECT_EQ(got, primary.document());
+  EXPECT_EQ(got, primary.document(kObj));
   EXPECT_GT(bed.metrics().delta_snapshots(), deltas_after_first);
   EXPECT_EQ(bed.metrics().snapshot_pages_shipped(), shipped_before);
 
@@ -237,7 +237,7 @@ TEST(DeltaSnapshotEquivalence, ClientDocumentFetchUsesDeltas) {
   primary.seed("p3.html", "updated");
   bed.settle();
   grab();
-  EXPECT_EQ(got, primary.document());
+  EXPECT_EQ(got, primary.document(kObj));
   EXPECT_EQ(bed.metrics().snapshot_pages_shipped(), shipped_before + 1);
 }
 
@@ -260,7 +260,7 @@ TEST(DeltaSnapshotEquivalence, CompactedDeleteDoesNotResurrect) {
     primary.seed("keep" + std::to_string(i) + ".html", "k");
   }
   bed.settle();
-  ASSERT_TRUE(mirror.document().has("doomed.html"));
+  ASSERT_TRUE(mirror.document(kObj).has("doomed.html"));
 
   bed.net().partition(primary.address().node, mirror.address().node);
   // Delete at the primary via a co-located client, then push the log far
@@ -271,21 +271,22 @@ TEST(DeltaSnapshotEquivalence, CompactedDeleteDoesNotResurrect) {
   deleter.remove("doomed.html", [&](WriteResult r) { deleted = r.ok; });
   bed.run_for(sim::SimDuration::millis(50));
   ASSERT_TRUE(deleted);
-  ASSERT_FALSE(primary.document().has("doomed.html"));
+  ASSERT_FALSE(primary.document(kObj).has("doomed.html"));
   for (int i = 0; i < 200; ++i) {
     primary.seed("keep" + std::to_string(i % 5) + ".html",
                  "v" + std::to_string(i));
   }
   // The mirror is behind the compaction horizon: only the state-records
   // cutover can repair it after the heal.
-  ASSERT_FALSE(primary.write_log().can_serve(mirror.applied_clock(), 0));
+  ASSERT_FALSE(
+      primary.write_log(kObj).can_serve(mirror.applied_clock(kObj), 0));
 
   bed.net().heal_all();
   bed.run_for(sim::SimDuration::seconds(1));
   bed.settle();
   EXPECT_TRUE(bed.converged(kObj));
-  EXPECT_FALSE(primary.document().has("doomed.html"));
-  EXPECT_FALSE(mirror.document().has("doomed.html"))
+  EXPECT_FALSE(primary.document(kObj).has("doomed.html"));
+  EXPECT_FALSE(mirror.document(kObj).has("doomed.html"))
       << "stale page resurrected across the compaction horizon";
 }
 

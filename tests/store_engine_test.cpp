@@ -25,11 +25,11 @@ ReplicationPolicy immediate() {
 TEST(StoreEngineTest, SubscribersRegisterOnSubscribe) {
   Testbed bed;
   auto& primary = bed.add_primary(kObj, immediate());
-  EXPECT_EQ(primary.subscriber_count(), 0u);
+  EXPECT_EQ(primary.subscriber_count(kObj), 0u);
   bed.add_store(kObj, naming::StoreClass::kClientInitiated, immediate());
   bed.add_store(kObj, naming::StoreClass::kObjectInitiated, immediate());
   bed.settle();
-  EXPECT_EQ(primary.subscriber_count(), 2u);
+  EXPECT_EQ(primary.subscriber_count(kObj), 2u);
 }
 
 TEST(StoreEngineTest, SubscribeSnapshotInitializesReplica) {
@@ -39,11 +39,11 @@ TEST(StoreEngineTest, SubscribeSnapshotInitializesReplica) {
   primary.seed("b", "2");
   auto& cache = bed.add_store(kObj, naming::StoreClass::kClientInitiated,
                               immediate());
-  EXPECT_FALSE(cache.ready());
+  EXPECT_FALSE(cache.ready(kObj));
   bed.settle();
-  EXPECT_TRUE(cache.ready());
-  EXPECT_EQ(cache.document().page_count(), 2u);
-  EXPECT_EQ(cache.applied_clock(), primary.applied_clock());
+  EXPECT_TRUE(cache.ready(kObj));
+  EXPECT_EQ(cache.document(kObj).page_count(), 2u);
+  EXPECT_EQ(cache.applied_clock(kObj), primary.applied_clock(kObj));
 }
 
 TEST(StoreEngineTest, RequestsParkUntilReady) {
@@ -82,8 +82,8 @@ TEST(StoreEngineTest, MultiplePermanentStoresStayCoherent) {
     writer.write("p", "v" + std::to_string(i), [](WriteResult) {});
   }
   bed.settle();
-  EXPECT_EQ(perm2.document(), primary.document());
-  EXPECT_EQ(perm3.document(), primary.document());
+  EXPECT_EQ(perm2.document(kObj), primary.document(kObj));
+  EXPECT_EQ(perm3.document(kObj), primary.document(kObj));
   EXPECT_TRUE(coherence::check_object_model(
       bed.history(), coherence::ObjectModel::kPram).ok);
 }
@@ -105,7 +105,7 @@ TEST(StoreEngineTest, ScopeExcludedCacheStillConvergesViaPassThrough) {
     writer.write("p", "v" + std::to_string(i), [](WriteResult) {});
   }
   bed.settle();
-  EXPECT_EQ(cache.document().get("p")->content, "v5");
+  EXPECT_EQ(cache.document(kObj).get("p")->content, "v5");
   EXPECT_TRUE(bed.converged(kObj));
 }
 
@@ -121,7 +121,7 @@ TEST(StoreEngineTest, InvalidPagesClearedByUpdate) {
   auto& writer = bed.add_client(kObj, ClientModel::kNone);
   writer.write("p", "v1", [](WriteResult) {});
   bed.settle();
-  EXPECT_TRUE(cache.outdated());  // invalidation noted
+  EXPECT_TRUE(cache.outdated(kObj));  // invalidation noted
 
   // Reading forces the fetch and clears the invalid flag.
   auto& reader = bed.add_client(kObj, ClientModel::kNone, cache.address());
@@ -130,7 +130,7 @@ TEST(StoreEngineTest, InvalidPagesClearedByUpdate) {
   bed.settle();
   ASSERT_TRUE(read && read->ok);
   EXPECT_EQ(read->content, "v1");
-  EXPECT_FALSE(cache.outdated());
+  EXPECT_FALSE(cache.outdated(kObj));
 }
 
 TEST(StoreEngineTest, SeedRequiresPrimary) {
@@ -140,6 +140,32 @@ TEST(StoreEngineTest, SeedRequiresPrimary) {
                               immediate());
   bed.settle();
   EXPECT_DEATH(cache.seed("p", "v"), "primary");
+}
+
+TEST(StoreEngineTest, ObjectlessSeedNeedsExactlyOneObject) {
+  Testbed bed;
+  auto& primary = bed.add_primary(kObj, immediate());
+  ObjectConfig second;
+  second.object = kObj + 1;
+  second.is_primary = true;
+  primary.add_object(second);
+  // With two hosted objects the object-less form has no object to pick.
+  EXPECT_DEATH(primary.seed("p", "v"), "exactly one object");
+  primary.seed(kObj + 1, "p", "v");
+  EXPECT_EQ(primary.document(kObj + 1).get("p")->content, "v");
+  EXPECT_FALSE(primary.document(kObj).has("p"));
+}
+
+TEST(StoreEngineTest, MembershipNeedsNonzeroScope) {
+  TestbedOptions opts;
+  opts.enable_membership = true;
+  Testbed bed(opts);
+  StoreConfig cfg;
+  cfg.store_id = 99;
+  cfg.membership = bed.membership().address();  // scope left at 0
+  const NodeId node = bed.add_node("scopeless");
+  EXPECT_DEATH(StoreEngine(bed.factory(node), bed.sim(), cfg, {}),
+               "nonzero scope");
 }
 
 TEST(StoreEngineTest, ContactDescribesStore) {
@@ -171,8 +197,8 @@ TEST(StoreEngineTest, LateJoiningCacheCatchesUpFromLog) {
   auto& cache = bed.add_store(kObj, naming::StoreClass::kClientInitiated,
                               immediate());
   bed.settle();
-  EXPECT_TRUE(cache.document().has("p0"));
-  EXPECT_TRUE(cache.document().has("p1"));
+  EXPECT_TRUE(cache.document(kObj).has("p0"));
+  EXPECT_TRUE(cache.document(kObj).has("p1"));
   EXPECT_TRUE(bed.converged(kObj));
 }
 
@@ -186,7 +212,7 @@ TEST(StoreEngineTest, WritesToDistinctPagesAllSurvivePram) {
     b.write("b" + std::to_string(i), "y", [](WriteResult) {});
   }
   bed.settle();
-  EXPECT_EQ(primary.document().page_count(), 10u);
+  EXPECT_EQ(primary.document(kObj).page_count(), 10u);
 }
 
 }  // namespace

@@ -334,7 +334,7 @@ std::vector<util::Buffer> run_replication(bool windowed) {
     // so the two runs advance simulated time differently, shifting the
     // client-assigned issue timestamps at the source. Everything logical
     // (records, order, deps, gseq, lamport, content) must match exactly.
-    digests.push_back(replication::store_state_digest(*s, true));
+    digests.push_back(replication::store_state_digest(*s, 1, true));
   }
   return digests;
 }
