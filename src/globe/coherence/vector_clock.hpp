@@ -186,7 +186,14 @@ class VectorClock {
     for (std::uint64_t i = 0; i < n; ++i) {
       const ClientId c = r.u32();
       const std::uint64_t v = r.varint();
-      vc.set(c, v);  // tolerates unsorted/duplicate wire entries
+      // Canonical senders emit sorted, nonzero entries, and for those
+      // an append is exactly what set() does. Unsorted, duplicate or
+      // zero entries still go through set().
+      if (v != 0 && (vc.entries_.empty() || c > vc.entries_.back().first)) {
+        vc.entries_.emplace_back(c, v);
+      } else {
+        vc.set(c, v);
+      }
     }
     return vc;
   }

@@ -67,13 +67,15 @@ void MembershipService::admit(ObjectId scope, const MemberAnnounce& announce,
     it->last_heard = now();
     if (announce.has_applied) {
       it->has_applied = true;
-      it->applied = announce.applied;
-      it->applied_gseq = announce.applied_gseq;
+      state.restate(*it, announce.applied, announce.applied_gseq);
     }
     *added = false;
     return;
   }
-  MemberState m{contact, announce.shard, now()};
+  MemberState m;
+  m.contact = contact;
+  m.shard = announce.shard;
+  m.last_heard = now();
   m.has_applied = announce.has_applied;
   m.applied = announce.applied;
   m.applied_gseq = announce.applied_gseq;
@@ -94,7 +96,132 @@ HorizonMsg MembershipService::stability_horizon(ObjectId scope) const {
   return h;
 }
 
+void MembershipService::ScopeState::shift_above(ClientId c, int delta) {
+  int& n = above[c];
+  if (n == counted) --full;
+  n += delta;
+  if (n == counted) ++full;
+}
+
+void MembershipService::ScopeState::recount_full() {
+  full = 0;
+  if (counted == 0) return;
+  for (const auto& [c, n] : above) {
+    if (n == counted) ++full;
+  }
+}
+
+void MembershipService::ScopeState::tally(const MemberState& m, int sign) {
+  count(m, sign);
+  recount_full();
+}
+
+void MembershipService::ScopeState::count(const MemberState& m, int sign) {
+  // One walk of the member's clock against the horizon's sorted entries.
+  const auto& h = horizon.entries();
+  auto hit = h.begin();
+  for (const auto& [c, v] : m.applied.entries()) {
+    while (hit != h.end() && hit->first < c) ++hit;
+    const std::uint64_t floor =
+        hit != h.end() && hit->first == c ? hit->second : 0;
+    if (v > floor) above[c] += sign;
+  }
+  if (m.applied_gseq > horizon_gseq) gseq_above += sign;
+  counted += sign;
+}
+
+void MembershipService::ScopeState::restate(
+    MemberState& m, const coherence::VectorClock& clock, std::uint64_t gseq) {
+  if (m.counted) {
+    // One sorted walk over the old and new clocks; only the entries
+    // whose value changed can cross the horizon.
+    const auto& a = m.applied.entries();
+    const auto& b = clock.entries();
+    std::size_t i = 0;
+    std::size_t j = 0;
+    while (i < a.size() || j < b.size()) {
+      ClientId c = 0;
+      std::uint64_t was = 0;
+      std::uint64_t is = 0;
+      if (j == b.size() || (i < a.size() && a[i].first < b[j].first)) {
+        c = a[i].first;
+        was = a[i++].second;
+      } else if (i == a.size() || b[j].first < a[i].first) {
+        c = b[j].first;
+        is = b[j++].second;
+      } else {
+        c = a[i].first;
+        was = a[i++].second;
+        is = b[j++].second;
+      }
+      if (was == is) continue;
+      const std::uint64_t floor = horizon.get(c);
+      if ((was > floor) != (is > floor)) shift_above(c, is > floor ? 1 : -1);
+    }
+    if ((m.applied_gseq > horizon_gseq) != (gseq > horizon_gseq)) {
+      gseq_above += gseq > horizon_gseq ? 1 : -1;
+    }
+  }
+  m.applied = clock;
+  m.applied_gseq = gseq;
+}
+
+void MembershipService::ScopeState::rebuild_guard() {
+  above.clear();
+  gseq_above = 0;
+  const int live = counted;
+  counted = 0;
+  for (const MemberState& m : members) {
+    if (m.counted) count(m, 1);
+  }
+  GLOBE_DCHECK(counted == live);
+  recount_full();
+}
+
+void MembershipService::ScopeState::erase(
+    std::vector<MemberState>::iterator it) {
+  if (it->counted) tally(*it, -1);
+  members.erase(it);
+}
+
 void MembershipService::update_horizon(ObjectId scope, ScopeState& state) {
+  // Liveness flips since the last evaluation: the fold below includes a
+  // member iff it has_applied and was heard within the failure timeout.
+  for (MemberState& m : state.members) {
+    const bool live =
+        m.has_applied && now() - m.last_heard <= options_.failure_timeout;
+    if (live == m.counted) continue;
+    m.counted = live;
+    state.tally(m, live ? 1 : -1);
+  }
+  if (!state.may_advance()) {
+    // Checked builds re-fold and confirm the skip was exact.
+    GLOBE_DCHECK_MSG(!fold_horizon(state).has_value(),
+                     "horizon guard skipped a fold that advances");
+    return;
+  }
+  std::optional<HorizonMsg> next = fold_horizon(state);
+  GLOBE_DCHECK_MSG(next.has_value(),
+                   "horizon guard ran a fold that does not advance");
+  if (!next) return;
+  state.horizon = next->clock;
+  state.horizon_gseq = next->gseq;
+  state.rebuild_guard();
+  ++stats_.horizon_advances;
+  if (options_.metrics != nullptr) {
+    options_.metrics->record_horizon_advance();
+  }
+  std::vector<Address> targets;
+  targets.reserve(state.members.size());
+  for (const MemberState& m : state.members) {
+    targets.push_back(m.contact.address);
+  }
+  comm_.multicast_with(targets, msg::MsgType::kStabilityHorizon, scope,
+                       [&](util::Writer& w) { next->encode(w); });
+}
+
+std::optional<HorizonMsg> MembershipService::fold_horizon(
+    const ScopeState& state) const {
   // Candidate floor: element-wise min applied clock (and min gseq) over
   // the data-carrying members that are still live. A member silent past
   // the failure timeout is excluded even if not (yet) evicted — notably
@@ -116,37 +243,19 @@ void MembershipService::update_horizon(ObjectId scope, ScopeState& state) {
       candidate_gseq = std::min(candidate_gseq, m.applied_gseq);
     }
   }
-  if (!any) return;
+  if (!any) return std::nullopt;
 
   // The floor is monotonic: merge, never replace, so a stale or partial
   // announcement (a fresh joiner that has not applied yet reports
   // has_applied with an empty clock) can stall but not regress it.
-  coherence::VectorClock merged = state.horizon;
-  merged.merge(candidate);
-  bool advanced = false;
-  if (!(merged == state.horizon)) {
-    state.horizon = std::move(merged);
-    advanced = true;
+  HorizonMsg next;
+  next.clock = state.horizon;
+  next.clock.merge(candidate);
+  next.gseq = std::max(state.horizon_gseq, candidate_gseq);
+  if (next.clock == state.horizon && next.gseq == state.horizon_gseq) {
+    return std::nullopt;
   }
-  if (candidate_gseq > state.horizon_gseq) {
-    state.horizon_gseq = candidate_gseq;
-    advanced = true;
-  }
-  if (!advanced) return;
-  ++stats_.horizon_advances;
-  if (options_.metrics != nullptr) {
-    options_.metrics->record_horizon_advance();
-  }
-  HorizonMsg h;
-  h.clock = state.horizon;
-  h.gseq = state.horizon_gseq;
-  std::vector<Address> targets;
-  targets.reserve(state.members.size());
-  for (const MemberState& m : state.members) {
-    targets.push_back(m.contact.address);
-  }
-  comm_.multicast_with(targets, msg::MsgType::kStabilityHorizon, scope,
-                       [&](util::Writer& w) { h.encode(w); });
+  return next;
 }
 
 void MembershipService::remove(ObjectId scope, const Address& addr,
@@ -160,7 +269,7 @@ void MembershipService::remove(ObjectId scope, const Address& addr,
                           });
   if (mit == members.end()) return;
   const ShardId shard = mit->shard;
-  members.erase(mit);
+  it->second.erase(mit);
   ++it->second.shards[shard].epoch;
   if (options_.naming != nullptr) {
     options_.naming->unregister_contact(scope, addr);
@@ -188,9 +297,10 @@ void MembershipService::sweep() {
     for (const auto& [shard, addrs] : dead) {
       auto& members = state.members;
       for (const Address& addr : addrs) {
-        std::erase_if(members, [&](const MemberState& m) {
-          return m.contact.address == addr;
-        });
+        state.erase(std::find_if(members.begin(), members.end(),
+                                 [&](const MemberState& m) {
+                                   return m.contact.address == addr;
+                                 }));
         if (options_.naming != nullptr) {
           options_.naming->unregister_contact(scope, addr);
         }

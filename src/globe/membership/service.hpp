@@ -31,6 +31,7 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <unordered_map>
 #include <vector>
 
 #include "globe/core/comm.hpp"
@@ -109,6 +110,13 @@ class MembershipService {
   /// silent past `failure_timeout` are excluded even before eviction —
   /// including the eviction-exempt primary — so one crashed store cannot
   /// freeze GC cluster-wide. Monotonic: only ever advances.
+  ///
+  /// Cost per heartbeat: one walk of the announced clock against the
+  /// member's previous one, guard updates for just the entries that
+  /// changed, and an O(members) scalar liveness scan. The O(members ×
+  /// clock width) fold runs only when an exact guard says it advances
+  /// the floor, and the guard is then rebuilt at the same cost; see
+  /// ScopeState.
   [[nodiscard]] HorizonMsg stability_horizon(ObjectId scope) const;
 
   /// Runs one failure-detector sweep immediately (tests).
@@ -124,6 +132,10 @@ class MembershipService {
     bool has_applied = false;
     coherence::VectorClock applied;
     std::uint64_t applied_gseq = 0;
+    // Whether `applied` is counted in the scope's horizon guard: set by
+    // update_horizon() while the member has_applied and was heard within
+    // failure_timeout — the same members the fold includes.
+    bool counted = false;
   };
   /// Per-shard epoch + broadcast bookkeeping. The member list itself is
   /// scope-wide (one heartbeat stream, one failure detector); these are
@@ -142,6 +154,39 @@ class MembershipService {
     // Scope-wide stability horizon (monotonic GC floor).
     coherence::VectorClock horizon;
     std::uint64_t horizon_gseq = 0;
+
+    // Exact guard for the horizon fold. The fold advances the floor iff
+    // every counted member is above the horizon in some client's entry,
+    // or every counted member's applied_gseq is above horizon_gseq. So
+    // keep, against the current horizon:
+    //   above[c]    counted members whose applied[c] > horizon[c];
+    //   full        clients c with above[c] == counted;
+    //   gseq_above  counted members whose applied_gseq > horizon_gseq.
+    // A heartbeat touches only the entries whose value changed; a
+    // liveness flip, join, leave or eviction adds or removes one
+    // member's contribution; an advance rebuilds the lot.
+    std::unordered_map<ClientId, int> above;
+    int counted = 0;
+    int full = 0;
+    int gseq_above = 0;
+
+    [[nodiscard]] bool may_advance() const {
+      return counted > 0 && (full > 0 || gseq_above == counted);
+    }
+    /// Adds (`sign` = +1) or removes (-1) `m`'s applied state.
+    void tally(const MemberState& m, int sign);
+    /// Sets `m`'s applied state, updating the guard if `m` is counted.
+    void restate(MemberState& m, const coherence::VectorClock& clock,
+                 std::uint64_t gseq);
+    /// Recomputes the guard against the current horizon.
+    void rebuild_guard();
+    /// Drops a member, and its contribution when counted.
+    void erase(std::vector<MemberState>::iterator it);
+
+   private:
+    void count(const MemberState& m, int sign);  // tally() minus `full`
+    void shift_above(ClientId c, int delta);
+    void recount_full();
   };
 
   void on_message(const Address& from, const msg::EnvelopeView& env);
@@ -149,8 +194,14 @@ class MembershipService {
   void remove(ObjectId scope, const Address& addr, bool evicted);
   void sweep();
   /// Re-aggregates `scope`'s stability horizon from its live members and
-  /// broadcasts kStabilityHorizon to them when the floor advanced.
+  /// broadcasts kStabilityHorizon to them when the floor advanced. Runs
+  /// the fold only when the guard says it can advance.
   void update_horizon(ObjectId scope, ScopeState& state);
+  /// The floor folded from `state`'s live members, or nullopt when it
+  /// would not advance past `state.horizon`. The one implementation of
+  /// the floor; side-effect free.
+  [[nodiscard]] std::optional<HorizonMsg> fold_horizon(
+      const ScopeState& state) const;
   /// `exclude` suppresses the broadcast to one member — a fresh joiner
   /// whose join ack already carries the full view (a delta would only
   /// trigger a redundant full-view fetch at its 0-epoch base).

@@ -1510,10 +1510,12 @@ void StoreEngine::apply_view(const membership::View& view) {
   view_epoch_ = view.epoch;
   GLOBE_CHECK_HOOK(on_view_adopt(this, "store", config_.store_id, view.epoch));
   GLOBE_CHECK_HOOK(note_owner_context(this, config_.store_id, view.epoch));
+#if defined(GLOBE_CHECKED) && GLOBE_CHECKED
   for (auto& [id, op] : objects_) {
     GLOBE_CHECK_HOOK(note_owner_context(op.get(), config_.store_id,
                                         view.epoch));
   }
+#endif
   view_ = view;  // the base the next ViewDelta diff applies onto
 
   // Members of the PREVIOUS view that the new view lacks have left the

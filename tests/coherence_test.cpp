@@ -3,6 +3,9 @@
 // histories and detection of violations).
 #include <gtest/gtest.h>
 
+#include <random>
+#include <vector>
+
 #include "globe/coherence/checkers.hpp"
 #include "globe/coherence/models.hpp"
 #include "globe/coherence/vector_clock.hpp"
@@ -90,6 +93,44 @@ TEST(VectorClockTest, CodecRoundTrip) {
   vc.encode(w);
   util::Reader r{util::BytesView(w.view())};
   EXPECT_EQ(VectorClock::decode(r), vc);
+}
+
+// decode() appends canonical (ascending, nonzero) entries and hands the
+// rest to set(); any wire input must decode to exactly what a set() per
+// entry, in wire order, builds.
+TEST(VectorClockTest, DecodeMatchesSetLoopOnArbitraryWire) {
+  std::mt19937_64 rng(7);
+  for (int round = 0; round < 2000; ++round) {
+    const int shape = round % 4;  // sorted, shuffled, duplicates, zeros
+    std::vector<std::pair<ClientId, std::uint64_t>> wire;
+    const std::size_t n = rng() % 12;
+    ClientId next = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      ClientId c = 0;
+      if (shape == 0) {
+        next += 1 + static_cast<ClientId>(rng() % 5);
+        c = next;
+      } else {
+        c = static_cast<ClientId>(rng() % (shape == 2 ? 4 : 40));
+      }
+      std::uint64_t v = 1 + rng() % 1000;
+      if (shape == 3 && rng() % 3 == 0) v = 0;
+      wire.emplace_back(c, v);
+    }
+    util::Writer w;
+    w.varint(wire.size());
+    VectorClock expect;
+    for (const auto& [c, v] : wire) {
+      w.u32(c);
+      w.varint(v);
+      expect.set(c, v);
+    }
+    util::Reader r{util::BytesView(w.view())};
+    const VectorClock got = VectorClock::decode(r);
+    ASSERT_EQ(got, expect) << "round " << round << ": " << got.str()
+                           << " vs " << expect.str();
+    ASSERT_TRUE(r.at_end());
+  }
 }
 
 TEST(ModelsTest, SubsumptionRelation) {

@@ -39,8 +39,15 @@ class FakeMember {
         });
   }
 
+  [[nodiscard]] MemberAnnounce announce() const {
+    MemberAnnounce m;
+    m.contact = contact_;
+    m.shard = shard_;
+    return m;
+  }
+
   void join() {
-    MemberAnnounce m{contact_, shard_};
+    const MemberAnnounce m = announce();
     comm_.request_with(
         service_, msg::MsgType::kMembershipJoin, kScope,
         [&](util::Writer& w) { m.encode(w); },
@@ -52,7 +59,7 @@ class FakeMember {
   }
 
   void heartbeat() {
-    MemberAnnounce m{contact_, shard_};
+    const MemberAnnounce m = announce();
     comm_.send_with_background(service_, msg::MsgType::kMembershipHeartbeat,
                                kScope,
                                [&](util::Writer& w) { m.encode(w); });

@@ -2,13 +2,20 @@
 // floor, tombstone collection with preserved delta-refusal semantics,
 // heartbeat-piggybacked horizon aggregation, and the failure-detector
 // exclusion that keeps a crashed-but-unevicted store from freezing GC
-// cluster-wide.
+// cluster-wide. The membership service's incremental horizon guard is
+// checked against a naive fold over randomized announcers.
 #include <gtest/gtest.h>
+
+#include <map>
+#include <memory>
+#include <random>
 
 #include "globe/coherence/checkers.hpp"
 #include "globe/membership/service.hpp"
+#include "globe/net/sim_transport.hpp"
 #include "globe/replication/testbed.hpp"
 #include "globe/replication/write_log.hpp"
+#include "globe/sim/network.hpp"
 #include "globe/web/document.hpp"
 
 namespace globe::replication {
@@ -287,6 +294,351 @@ TEST(StabilityHorizon, CrashedUnevictedPrimaryDoesNotFreezeTheHorizon) {
   // GC kept running for the survivors: the streaming checker kept
   // retiring events behind the advancing floor.
   EXPECT_GT(sc.events_retired(), retired_before);
+}
+
+// ---- Incremental horizon guard vs a naive fold ------------------------
+//
+// The membership service folds its members' applied clocks only when an
+// exact guard says the floor can move. Randomized announcers drive the
+// service directly; after every delivered heartbeat and every sweep its
+// floor and advance count must equal a naive fold kept here.
+
+using membership::MemberAnnounce;
+using membership::MembershipService;
+
+constexpr ObjectId kScope = 0xC1;
+constexpr ClientId kClients = 5;  // few clients: frequent ties at the floor
+constexpr auto kLatency = sim::SimDuration::millis(20);  // default link
+constexpr auto kTimeout = sim::SimDuration::millis(100);
+
+// A store endpoint that announces whatever applied state the test sets.
+class Announcer {
+ public:
+  Announcer(const core::TransportFactory& factory, sim::Simulator& sim,
+            net::Address service, StoreId id, bool primary)
+      : comm_(factory, &sim), service_(service) {
+    contact_.address = comm_.local_address();
+    contact_.store_class = primary ? naming::StoreClass::kPermanent
+                                   : naming::StoreClass::kObjectInitiated;
+    contact_.store_id = id;
+    contact_.is_primary = primary;
+    comm_.set_delivery_handler(
+        [](const net::Address&, const msg::EnvelopeView&) {});
+  }
+
+  [[nodiscard]] MemberAnnounce announce() const {
+    MemberAnnounce m;
+    m.contact = contact_;
+    m.has_applied = has_applied;
+    m.applied = applied;
+    m.applied_gseq = gseq;
+    return m;
+  }
+  void join() {
+    const MemberAnnounce m = announce();
+    comm_.request_with(
+        service_, msg::MsgType::kMembershipJoin, kScope,
+        [&](util::Writer& w) { m.encode(w); },
+        [](bool, const net::Address&, const msg::EnvelopeView&) {});
+  }
+  void heartbeat() {
+    const MemberAnnounce m = announce();
+    comm_.send_with_background(service_, msg::MsgType::kMembershipHeartbeat,
+                               kScope, [&](util::Writer& w) { m.encode(w); });
+  }
+  void leave() {
+    membership::LeaveMsg m;
+    m.address = address();
+    comm_.send_with(service_, msg::MsgType::kMembershipLeave, kScope,
+                    [&](util::Writer& w) { m.encode(w); });
+  }
+  [[nodiscard]] net::Address address() const { return contact_.address; }
+  [[nodiscard]] bool primary() const { return contact_.is_primary; }
+
+  bool has_applied = false;
+  VectorClock applied;
+  std::uint64_t gseq = 0;
+
+ private:
+  core::CommunicationObject comm_;
+  net::Address service_;
+  naming::ContactPoint contact_;
+};
+
+// The floor as specified, with no incremental state: over the members
+// that announced data and were heard within the failure timeout, take
+// each client's minimum entry (an absent entry is 0) and the minimum
+// gseq, and raise the monotonic horizon to them. Mirrors the service's
+// membership rules: any announcement admits, a leave removes, a sweep
+// evicts silent non-primaries and then folds, a heartbeat folds.
+class NaiveHorizon {
+ public:
+  void heard(const MemberAnnounce& a, util::SimTime now) {
+    const auto key = std::make_pair(a.contact.address.node,
+                                    a.contact.address.port);
+    auto [it, fresh] = members_.try_emplace(key);
+    Member& m = it->second;
+    m.primary = a.contact.is_primary;
+    m.last_heard = now;
+    if (fresh || a.has_applied) {
+      m.has_applied = m.has_applied || a.has_applied;
+      m.applied.clear();
+      for (const auto& [c, v] : a.applied.entries()) m.applied[c] = v;
+      m.gseq = a.applied_gseq;
+    }
+  }
+  void left(const net::Address& addr) {
+    members_.erase(std::make_pair(addr.node, addr.port));
+  }
+  void sweep(util::SimTime now) {
+    std::erase_if(members_, [&](const auto& kv) {
+      return !kv.second.primary && now - kv.second.last_heard > kTimeout;
+    });
+    fold(now);
+  }
+  void fold(util::SimTime now) {
+    std::map<ClientId, std::uint64_t> floor;
+    std::uint64_t floor_gseq = 0;
+    bool any = false;
+    for (const auto& [key, m] : members_) {
+      if (!m.has_applied || now - m.last_heard > kTimeout) continue;
+      if (!any) {
+        floor = m.applied;
+        floor_gseq = m.gseq;
+        any = true;
+        continue;
+      }
+      for (auto& [c, v] : floor) {
+        auto mit = m.applied.find(c);
+        v = std::min(v, mit == m.applied.end() ? 0 : mit->second);
+      }
+      floor_gseq = std::min(floor_gseq, m.gseq);
+    }
+    if (!any) return;
+    bool moved = false;
+    for (const auto& [c, v] : floor) {
+      if (v > horizon_[c]) {
+        horizon_[c] = v;
+        moved = true;
+      }
+    }
+    if (floor_gseq > horizon_gseq_) {
+      horizon_gseq_ = floor_gseq;
+      moved = true;
+    }
+    if (moved) ++advances_;
+  }
+
+  // Nonzero entries only, like a canonical clock.
+  [[nodiscard]] std::map<ClientId, std::uint64_t> horizon() const {
+    std::map<ClientId, std::uint64_t> out;
+    for (const auto& [c, v] : horizon_) {
+      if (v != 0) out[c] = v;
+    }
+    return out;
+  }
+  [[nodiscard]] std::uint64_t horizon_gseq() const { return horizon_gseq_; }
+  [[nodiscard]] std::uint64_t advances() const { return advances_; }
+
+ private:
+  struct Member {
+    bool primary = false;
+    bool has_applied = false;
+    std::map<ClientId, std::uint64_t> applied;
+    std::uint64_t gseq = 0;
+    util::SimTime last_heard{};
+  };
+  std::map<std::pair<NodeId, PortId>, Member> members_;
+  std::map<ClientId, std::uint64_t> horizon_;
+  std::uint64_t horizon_gseq_ = 0;
+  std::uint64_t advances_ = 0;
+};
+
+// What the randomized runs exercised, summed over seeds.
+struct Coverage {
+  std::uint64_t advances = 0;
+  std::uint64_t gseq_only_advances = 0;
+  std::uint64_t evictions = 0;
+  std::uint64_t rejoins = 0;
+  std::uint64_t leaves = 0;
+  std::uint64_t empty_rejoins = 0;
+  std::uint64_t primary_timeouts = 0;  // primary back after > kTimeout
+  std::uint64_t dataless_heartbeats = 0;
+};
+
+void run_differential(std::uint64_t seed, Coverage& cov) {
+  sim::Simulator sim;
+  sim::Network net(sim, seed);
+  std::map<NodeId, PortId> next_port;
+  auto factory = [&](NodeId node) -> core::TransportFactory {
+    return [&, node](net::MessageHandler handler)
+               -> std::unique_ptr<net::Transport> {
+      const PortId port = ++next_port[node];
+      return std::make_unique<net::SimTransport>(
+          net, net::Address{node, port}, std::move(handler));
+    };
+  };
+  membership::MembershipOptions opts;
+  // Sweeps come only from sweep_now(), so each is compared below.
+  opts.heartbeat_period = sim::SimDuration::seconds(1000000);
+  opts.failure_timeout = kTimeout;
+  MembershipService service(factory(net.add_node("membership")), &sim, opts);
+
+  std::mt19937_64 rng(seed);
+  auto pick = [&](std::uint64_t n) { return rng() % n; };
+  enum class Mode { kUp, kSilent, kLeft };
+  std::vector<std::unique_ptr<Announcer>> stores;
+  std::vector<Mode> mode;
+  std::vector<util::SimTime> silent_since;
+  const std::size_t n = 3 + pick(5);
+  for (std::size_t i = 0; i < n; ++i) {
+    stores.push_back(std::make_unique<Announcer>(
+        factory(net.add_node("store")), sim, service.address(),
+        static_cast<StoreId>(i), /*primary=*/i == 0));
+    stores.back()->has_applied = pick(3) != 0;
+    mode.push_back(Mode::kUp);
+    silent_since.emplace_back();
+  }
+
+  NaiveHorizon oracle;
+  std::uint64_t last_advances = 0;
+  std::uint64_t last_gseq = 0;
+  std::map<ClientId, std::uint64_t> last_clock;
+  auto compare = [&](const char* after) {
+    const membership::HorizonMsg h = service.stability_horizon(kScope);
+    const std::map<ClientId, std::uint64_t> got(h.clock.entries().begin(),
+                                                h.clock.entries().end());
+    ASSERT_EQ(got, oracle.horizon()) << "seed " << seed << " after " << after;
+    ASSERT_EQ(h.gseq, oracle.horizon_gseq())
+        << "seed " << seed << " after " << after;
+    ASSERT_EQ(service.stats().horizon_advances, oracle.advances())
+        << "seed " << seed << " after " << after;
+    if (oracle.advances() != last_advances && got == last_clock &&
+        h.gseq != last_gseq) {
+      ++cov.gseq_only_advances;
+    }
+    last_advances = oracle.advances();
+    last_gseq = h.gseq;
+    last_clock = got;
+  };
+  // Deliver one message (links are FIFO with fixed latency), so the
+  // service hears it at exactly the time the oracle records.
+  auto deliver = [&] { sim.run_until(sim.now() + kLatency); };
+
+  for (std::size_t i = 0; i < n; ++i) {
+    const MemberAnnounce a = stores[i]->announce();
+    stores[i]->join();
+    deliver();
+    oracle.heard(a, sim.now());
+  }
+
+  for (int step = 0; step < 150; ++step) {
+    const std::uint64_t action = pick(100);
+    const std::size_t i = pick(n);
+    Announcer& s = *stores[i];
+    if (action < 55 && mode[i] == Mode::kUp) {
+      // Applied state moves the way replicas' do: one or several
+      // components, the global seq alone, or a catch-up to the most
+      // advanced member; a dataless store may start carrying data.
+      switch (pick(6)) {
+        case 0:
+        case 1: {
+          const auto c = static_cast<ClientId>(1 + pick(kClients));
+          s.applied.advance(c, s.applied.get(c) + 1 + pick(2));
+          break;
+        }
+        case 2:
+          s.gseq += 1 + pick(2);
+          break;
+        case 3:
+          for (ClientId c = 1; c <= kClients; ++c) {
+            if (pick(2) != 0) s.applied.advance(c, s.applied.get(c) + 1);
+          }
+          break;
+        case 4:
+          for (const auto& other : stores) {
+            s.applied.merge(other->applied);
+            s.gseq = std::max(s.gseq, other->gseq);
+          }
+          break;
+        default:
+          if (!s.has_applied && pick(2) != 0) s.has_applied = true;
+          break;
+      }
+      if (!s.has_applied) ++cov.dataless_heartbeats;
+      const MemberAnnounce a = s.announce();
+      s.heartbeat();
+      deliver();
+      oracle.heard(a, sim.now());
+      oracle.fold(sim.now());
+      compare("heartbeat");
+    } else if (action < 65) {
+      sim.run_until(sim.now() + sim::SimDuration::millis(
+                                    static_cast<std::int64_t>(pick(150))));
+    } else if (action < 77) {
+      service.sweep_now();
+      oracle.sweep(sim.now());
+      compare("sweep");
+    } else if (action < 85 && mode[i] == Mode::kUp) {
+      mode[i] = Mode::kSilent;  // crash or partition: it stops talking
+      silent_since[i] = sim.now();
+    } else if (action < 95 && mode[i] != Mode::kUp) {
+      // Back from a crash, partition or leave, half the time restarted
+      // with nothing applied yet.
+      if (pick(2) != 0) {
+        s.has_applied = true;
+        s.applied = VectorClock{};
+        s.gseq = 0;
+        ++cov.empty_rejoins;
+      }
+      if (s.primary() && sim.now() - silent_since[i] > kTimeout) {
+        ++cov.primary_timeouts;
+      }
+      const MemberAnnounce a = s.announce();
+      const bool as_join = mode[i] == Mode::kLeft && pick(2) != 0;
+      mode[i] = Mode::kUp;
+      if (as_join) {
+        s.join();
+        deliver();
+        oracle.heard(a, sim.now());
+        compare("join");
+      } else {
+        s.heartbeat();
+        deliver();
+        oracle.heard(a, sim.now());
+        oracle.fold(sim.now());
+        compare("heartbeat");
+      }
+    } else if (action >= 95 && mode[i] == Mode::kUp && !s.primary()) {
+      mode[i] = Mode::kLeft;
+      s.leave();
+      deliver();
+      oracle.left(s.address());
+      compare("leave");
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  cov.advances += service.stats().horizon_advances;
+  cov.evictions += service.stats().evictions;
+  cov.rejoins += service.stats().rejoins;
+  cov.leaves += service.stats().leaves;
+}
+
+TEST(StabilityHorizonGuard, MatchesNaiveFoldAfterEveryHeartbeatAndSweep) {
+  Coverage cov;
+  for (std::uint64_t seed = 1; seed <= 250; ++seed) {
+    run_differential(seed, cov);
+    if (HasFatalFailure()) return;
+  }
+  // The runs must reach every path the guard keeps state for.
+  EXPECT_GT(cov.advances, 1000u);
+  EXPECT_GT(cov.gseq_only_advances, 0u);
+  EXPECT_GT(cov.evictions, 0u);
+  EXPECT_GT(cov.rejoins, 0u);
+  EXPECT_GT(cov.leaves, 0u);
+  EXPECT_GT(cov.empty_rejoins, 0u);
+  EXPECT_GT(cov.primary_timeouts, 0u);
+  EXPECT_GT(cov.dataless_heartbeats, 0u);
 }
 
 }  // namespace
