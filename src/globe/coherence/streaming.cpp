@@ -351,7 +351,7 @@ std::size_t StreamingChecker::advance_horizon(const VectorClock& clock,
   VectorClock merged = horizon_;
   merged.merge(clock);
   bool advanced = false;
-  if (merged.entries() != horizon_.entries()) {
+  if (merged != horizon_) {
     horizon_ = std::move(merged);
     advanced = true;
   }

@@ -967,15 +967,20 @@ void StoreEngine::propagate(ObjectState& o,
       .wire = o.cfg.policy.propagation == Propagation::kUpdate &&
               o.cfg.policy.coherence_transfer == CoherenceTransfer::kPartial,
       .pages = o.cfg.policy.propagation == Propagation::kInvalidate};
+  // A run that no target receives (a leaf cache's records arrive from its
+  // only target, the upstream) is never encoded.
   std::vector<web::RecordBatchPtr> batches;
   for (std::size_t i = 0; i < recs.size();) {
+    const std::uint64_t origin = recs[i].transient_origin;
     std::size_t j = i + 1;
-    while (j < recs.size() &&
-           recs[j].transient_origin == recs[i].transient_origin) {
-      ++j;
+    while (j < recs.size() && recs[j].transient_origin == origin) ++j;
+    const bool received =
+        std::any_of(targets.begin(), targets.end(),
+                    [&](const Address& t) { return addr_key(t) != origin; });
+    if (received) {
+      batches.push_back(std::make_shared<const web::RecordBatch>(
+          std::span(recs).subspan(i, j - i), origin, needs));
     }
-    batches.push_back(std::make_shared<const web::RecordBatch>(
-        std::span(recs).subspan(i, j - i), recs[i].transient_origin, needs));
     i = j;
   }
   // Immediate pushes group destinations whose batch set is identical

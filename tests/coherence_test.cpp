@@ -1,9 +1,8 @@
-// Unit tests for coherence primitives: WriteId, VectorClock, model
-// relations, and the history checkers (both acceptance of valid
-// histories and detection of violations).
+// Unit tests for coherence primitives: WriteId, model relations, and the
+// history checkers (both acceptance of valid histories and detection of
+// violations). VectorClock has its own suite, vector_clock_test.
 #include <gtest/gtest.h>
 
-#include <random>
 #include <vector>
 
 #include "globe/coherence/checkers.hpp"
@@ -28,109 +27,6 @@ TEST(WriteIdTest, CodecRoundTrip) {
   WriteId{42, 99}.encode(w);
   util::Reader r{util::BytesView(w.view())};
   EXPECT_EQ(WriteId::decode(r), (WriteId{42, 99}));
-}
-
-TEST(VectorClockTest, GetSetAdvance) {
-  VectorClock vc;
-  EXPECT_EQ(vc.get(1), 0u);
-  vc.set(1, 5);
-  EXPECT_EQ(vc.get(1), 5u);
-  vc.advance(1, 3);  // no regression
-  EXPECT_EQ(vc.get(1), 5u);
-  vc.advance(1, 9);
-  EXPECT_EQ(vc.get(1), 9u);
-  vc.set(1, 0);  // canonical removal
-  EXPECT_TRUE(vc.empty());
-}
-
-TEST(VectorClockTest, MergeAndDominates) {
-  VectorClock a, b;
-  a.set(1, 3);
-  a.set(2, 1);
-  b.set(1, 2);
-  b.set(3, 4);
-  EXPECT_FALSE(a.dominates(b));
-  EXPECT_FALSE(b.dominates(a));
-  EXPECT_TRUE(a.concurrent_with(b));
-  a.merge(b);
-  EXPECT_EQ(a.get(1), 3u);
-  EXPECT_EQ(a.get(3), 4u);
-  EXPECT_TRUE(a.dominates(b));
-  EXPECT_FALSE(a.concurrent_with(b));
-}
-
-TEST(VectorClockTest, DominatesIsReflexiveAndEmptyIsBottom) {
-  VectorClock a;
-  a.set(1, 1);
-  EXPECT_TRUE(a.dominates(a));
-  VectorClock empty;
-  EXPECT_TRUE(a.dominates(empty));
-  EXPECT_FALSE(empty.dominates(a));
-  EXPECT_TRUE(empty.dominates(empty));
-}
-
-TEST(VectorClockTest, CoversWrites) {
-  VectorClock vc;
-  vc.set(1, 3);
-  EXPECT_TRUE(vc.covers(WriteId{1, 3}));
-  EXPECT_TRUE(vc.covers(WriteId{1, 1}));
-  EXPECT_FALSE(vc.covers(WriteId{1, 4}));
-  EXPECT_FALSE(vc.covers(WriteId{2, 1}));
-}
-
-TEST(VectorClockTest, TotalSumsEntries) {
-  VectorClock vc;
-  vc.set(1, 3);
-  vc.set(2, 4);
-  EXPECT_EQ(vc.total(), 7u);
-}
-
-TEST(VectorClockTest, CodecRoundTrip) {
-  VectorClock vc;
-  vc.set(1, 3);
-  vc.set(1000, 12345678);
-  util::Writer w;
-  vc.encode(w);
-  util::Reader r{util::BytesView(w.view())};
-  EXPECT_EQ(VectorClock::decode(r), vc);
-}
-
-// decode() appends canonical (ascending, nonzero) entries and hands the
-// rest to set(); any wire input must decode to exactly what a set() per
-// entry, in wire order, builds.
-TEST(VectorClockTest, DecodeMatchesSetLoopOnArbitraryWire) {
-  std::mt19937_64 rng(7);
-  for (int round = 0; round < 2000; ++round) {
-    const int shape = round % 4;  // sorted, shuffled, duplicates, zeros
-    std::vector<std::pair<ClientId, std::uint64_t>> wire;
-    const std::size_t n = rng() % 12;
-    ClientId next = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      ClientId c = 0;
-      if (shape == 0) {
-        next += 1 + static_cast<ClientId>(rng() % 5);
-        c = next;
-      } else {
-        c = static_cast<ClientId>(rng() % (shape == 2 ? 4 : 40));
-      }
-      std::uint64_t v = 1 + rng() % 1000;
-      if (shape == 3 && rng() % 3 == 0) v = 0;
-      wire.emplace_back(c, v);
-    }
-    util::Writer w;
-    w.varint(wire.size());
-    VectorClock expect;
-    for (const auto& [c, v] : wire) {
-      w.u32(c);
-      w.varint(v);
-      expect.set(c, v);
-    }
-    util::Reader r{util::BytesView(w.view())};
-    const VectorClock got = VectorClock::decode(r);
-    ASSERT_EQ(got, expect) << "round " << round << ": " << got.str()
-                           << " vs " << expect.str();
-    ASSERT_TRUE(r.at_end());
-  }
 }
 
 TEST(ModelsTest, SubsumptionRelation) {
